@@ -7,8 +7,12 @@ GO ?= go
 
 check: vet build race-serve race cluster-test
 
+# vet also fails on any file gofmt would change (benchmark build outputs
+# under .bench_build/ excluded).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -971,7 +971,9 @@ func (c *Controller) RunEpoch() error {
 	// Move pending requests into the active set, rejecting those whose
 	// deadline cannot accommodate even one slice from now on (under
 	// PolicyMaxThroughput; RET can extend them) and those with no route
-	// over the surviving topology.
+	// over the surviving topology. Every admission this epoch shares one
+	// audit detail string.
+	admitDetail := fmt.Sprintf("entered the active set at epoch t=%g", now)
 	for _, j := range c.pending {
 		usableEnd := j.End
 		if c.cfg.Policy == PolicyRET {
@@ -992,7 +994,7 @@ func (c *Controller) RunEpoch() error {
 		stat.Admitted++
 		c.appendAudit(j.ID, AuditEvent{
 			Epoch: c.Epochs, Time: now, Kind: AuditAdmitted, Trace: epochTrace,
-			Detail: fmt.Sprintf("entered the active set at epoch t=%g", now),
+			Detail: admitDetail,
 		})
 		c.active = append(c.active, &activeJob{
 			orig: j, remaining: j.Size, effectiveEnd: j.End,
@@ -1269,6 +1271,7 @@ func (c *Controller) solvePolicy(inst *schedule.Instance, fresh []*activeJob, no
 		// Renegotiated deadlines: extend every active job's effective end,
 		// and leave each job a planned event naming the component and the
 		// probe bound that fixed its schedule.
+		detail := fmt.Sprintf("policy=ret components=%d delta_rounds=%d", res.Components, res.Rounds)
 		for i, aj := range fresh {
 			comp := ""
 			compBHat := res.BHat
@@ -1281,7 +1284,7 @@ func (c *Controller) solvePolicy(inst *schedule.Instance, fresh []*activeJob, no
 			c.appendAudit(aj.orig.ID, AuditEvent{
 				Epoch: c.Epochs, Time: now, Kind: AuditPlanned,
 				Trace: int64(c.Epochs), Component: comp, BHat: compBHat, B: res.B,
-				Detail: fmt.Sprintf("policy=ret components=%d delta_rounds=%d", res.Components, res.Rounds),
+				Detail: detail,
 			})
 			ext := now + (aj.orig.End-now)*(1+res.B)
 			if ext > fresh[i].effectiveEnd {

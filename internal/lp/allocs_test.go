@@ -89,3 +89,24 @@ func TestAutoPricingSelection(t *testing.T) {
 		t.Fatalf("explicit Pricing overridden to %v", forced.Pricing)
 	}
 }
+
+// TestRefactorizeAllocations pins that refactorizing one basis shape again
+// reuses the LU workspace and the basis-column lists: the count of objects
+// allocated per refactorization is a small constant, whatever the size.
+func TestRefactorizeAllocations(t *testing.T) {
+	for _, sz := range []struct{ n, m int }{{60, 40}, {240, 160}} {
+		model := randomDenseLP(sz.n, sz.m, 3)
+		s := model.assemble(Options{})
+		if _, sol, err := model.coldSolve(s, s.opt); err != nil || sol.Status != Optimal {
+			t.Fatalf("m=%d: cold solve: %v (%v)", sz.m, err, sol.Status)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := s.refactorize(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Fatalf("m=%d: refactorize allocates %v objects per call, want O(1)", sz.m, allocs)
+		}
+	}
+}

@@ -96,6 +96,20 @@ func BenchmarkLUFactorize(b *testing.B) {
 			}
 		})
 	}
+	// The production shape: bases of the path-based scheduling LPs are
+	// about 97% slack or artificial columns. The cost should grow with
+	// the nonzeros (about linearly in m here), not with m².
+	for _, m := range []int{400, 2000, 4000} {
+		b.Run(fmt.Sprintf("slack97_m%d", m), func(b *testing.B) {
+			basis := randomBasis(shapeSlack97, m, rand.New(rand.NewSource(5)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := luFactorize(m, basis.rows, basis.vals); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkFTRAN(b *testing.B) {

@@ -260,7 +260,9 @@ func (inc *Incremental) solve() (*Solution, error) {
 		return nil, err
 	}
 	structureChanged := inc.model.NumVars() != inc.nVars || inc.model.NumRows() != inc.nRows
-	if !inc.valid || inc.s == nil || structureChanged {
+	// A failed refactorization leaves the cached state without factors
+	// (refactorize clears them); it cannot be resumed.
+	if !inc.valid || inc.s == nil || inc.s.factor.lu == nil || structureChanged {
 		return inc.fullSolve()
 	}
 

@@ -3,9 +3,10 @@ package lp
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
-// errSingular is returned by luFactorize when the basis matrix is
+// errSingular is returned by factorize when the basis matrix is
 // numerically singular.
 var errSingular = errors.New("lp: singular basis matrix")
 
@@ -20,6 +21,11 @@ type luEntry struct {
 // lower triangular (stored without the unit diagonal, entries addressed by
 // original row index) and U is upper triangular (stored by column, with the
 // diagonal kept separately).
+//
+// A luFactors is also the workspace of its own factorization: factorize
+// overwrites it in place and reuses every array, including the backing
+// arrays of the L and U columns, so refactorizing one basis shape again
+// allocates nothing.
 type luFactors struct {
 	m     int
 	perm  []int // position -> original row
@@ -28,69 +34,90 @@ type luFactors struct {
 	ucols [][]luEntry // entries with idx < column position
 	udiag []float64
 
-	// scratch for solves
-	work    []float64
-	touched []int
+	// scratch, all-zero (false) between calls
+	work      []float64 // dense vector by original row
+	touched   []int     // rows of work that may be nonzero
+	isTouched []bool    // by original row
+	reach     []int     // pivot positions a column depends on
 }
 
 const luDropTol = 1e-12
 
-// luFactorize factors the m×m matrix whose columns are given as parallel
-// sparse (rowIdx, val) slices, cols[j] describing column j. It uses a
-// left-looking column algorithm with a dense scratch vector and partial
-// pivoting by maximum magnitude.
-func luFactorize(m int, colRows [][]int, colVals [][]float64) (*luFactors, error) {
-	f := &luFactors{
-		m:     m,
-		perm:  make([]int, m),
-		pinv:  make([]int, m),
-		lcols: make([][]luEntry, m),
-		ucols: make([][]luEntry, m),
-		udiag: make([]float64, m),
-		work:  make([]float64, m),
+// inReachMark stands in pinv for a pivoted row whose position is already
+// in the reach of the column being factored, so the symbolic step tests
+// one array for both "pivoted" and "not yet reached".
+const inReachMark = -2
+
+// factorize overwrites f with the LU factors of the m×m matrix whose
+// columns are given as parallel sparse (rowIdx, val) slices, colRows[j] and
+// colVals[j] describing column j, or returns errSingular, after which f
+// holds no usable factors.
+//
+// It is a left-looking column algorithm with a dense scratch vector and
+// partial pivoting by maximum magnitude. Column j is scattered into the
+// scratch and eliminated against the earlier pivots it depends on, which a
+// Gilbert–Peierls symbolic step finds first: the pivot positions reachable
+// in the graph of L (position k → pinv[r] for each entry r of L's column
+// k) from the already-pivoted rows of column j. Its cost follows the
+// nonzeros of L and of the column, not m: a unit (slack) column whose row
+// is not yet pivoted has an empty reach, so an almost-all-slack basis
+// factors in time linear in m.
+//
+// The numeric elimination then visits the reach in ascending position
+// order, the order the plain sweep over all earlier positions uses, and L
+// only has edges from a position to later ones, so that order is also a
+// topological one. Every position outside the reach holds an exact zero
+// in the scratch, which the plain sweep skips without touching anything.
+// The two therefore perform the same floating-point operations in the
+// same order, and the factors are bit-identical to the sweep's.
+func (f *luFactors) factorize(m int, colRows [][]int, colVals [][]float64) error {
+	f.resize(m)
+	work, isTouched := f.work, f.isTouched
+	perm, pinv, lcols := f.perm, f.pinv, f.lcols
+	for i := range pinv {
+		pinv[i] = -1
 	}
-	for i := range f.pinv {
-		f.pinv[i] = -1
-	}
-	work := f.work
-	touched := make([]int, 0, m)
-	isTouched := make([]bool, m)
+	touched := f.touched[:0]
 
 	for j := 0; j < m; j++ {
-		// Scatter column j into the dense scratch.
+		// Scatter column j into the dense scratch and seed the reach with
+		// its already-pivoted rows.
 		rows, vals := colRows[j], colVals[j]
+		reach := f.reach[:0]
 		for k, r := range rows {
 			if !isTouched[r] {
 				isTouched[r] = true
 				touched = append(touched, r)
 			}
 			work[r] += vals[k]
-		}
-		// Left-looking elimination against previously pivoted columns, in
-		// pivot order. Only positions that are nonzero matter; scanning in
-		// pivot order keeps dependencies correct.
-		var ucol []luEntry
-		for k := 0; k < j; k++ {
-			piv := f.perm[k]
-			v := work[piv]
-			if v == 0 || math.Abs(v) < luDropTol {
-				continue
+			if p := pinv[r]; p >= 0 {
+				pinv[r] = inReachMark
+				reach = append(reach, p)
 			}
-			ucol = append(ucol, luEntry{idx: k, val: v})
-			for _, le := range f.lcols[k] {
-				r := le.idx
-				if !isTouched[r] {
-					isTouched[r] = true
-					touched = append(touched, r)
+		}
+		// Symbolic step: close the seed set under L's column graph. reach
+		// doubles as the worklist; only the set matters, not the visit
+		// order, because it is sorted below.
+		for i := 0; i < len(reach); i++ {
+			for _, le := range lcols[reach[i]] {
+				if p := pinv[le.idx]; p >= 0 {
+					pinv[le.idx] = inReachMark
+					reach = append(reach, p)
 				}
-				work[r] -= v * le.val
 			}
-			work[piv] = 0
 		}
+		slices.Sort(reach)
+		// Numeric step: unmark the reach, then eliminate over it in pivot
+		// order.
+		for _, k := range reach {
+			pinv[perm[k]] = k
+		}
+		f.ucols[j], touched = f.eliminate(reach, f.ucols[j][:0], touched)
+		f.reach = reach
 		// Pivot selection: maximum magnitude among unpivoted rows.
 		best, bestRow := 0.0, -1
 		for _, r := range touched {
-			if f.pinv[r] >= 0 {
+			if pinv[r] >= 0 {
 				continue
 			}
 			if a := math.Abs(work[r]); a > best {
@@ -104,18 +131,18 @@ func luFactorize(m int, colRows [][]int, colVals [][]float64) (*luFactors, error
 				work[r] = 0
 				isTouched[r] = false
 			}
-			return nil, errSingular
+			f.touched = touched[:0]
+			return errSingular
 		}
 		d := work[bestRow]
-		f.perm[j] = bestRow
-		f.pinv[bestRow] = j
+		perm[j] = bestRow
+		pinv[bestRow] = j
 		f.udiag[j] = d
-		f.ucols[j] = ucol
-		var lcol []luEntry
+		lcol := lcols[j][:0]
 		for _, r := range touched {
 			// Rows pivoted in earlier steps were zeroed during elimination;
 			// bestRow's pinv was just set, excluding it here as well.
-			if f.pinv[r] < 0 {
+			if pinv[r] < 0 {
 				if v := work[r]; math.Abs(v) > luDropTol {
 					lcol = append(lcol, luEntry{idx: r, val: v / d})
 				}
@@ -123,10 +150,70 @@ func luFactorize(m int, colRows [][]int, colVals [][]float64) (*luFactors, error
 			work[r] = 0
 			isTouched[r] = false
 		}
-		f.lcols[j] = lcol
+		lcols[j] = lcol
 		touched = touched[:0]
 	}
-	return f, nil
+	f.touched = touched
+	return nil
+}
+
+// eliminate subtracts from the scattered column in f.work the multiples of
+// L's columns at the positions in reach, in the order given, appending the
+// U entries to ucol and the rows it makes nonzero to touched. Positions
+// whose value cancelled to (near) zero are skipped exactly as the plain
+// sweep skips them.
+func (f *luFactors) eliminate(reach []int, ucol []luEntry, touched []int) ([]luEntry, []int) {
+	work := f.work
+	for _, k := range reach {
+		piv := f.perm[k]
+		v := work[piv]
+		if v == 0 || math.Abs(v) < luDropTol {
+			continue
+		}
+		ucol = append(ucol, luEntry{idx: k, val: v})
+		touched = scatterSub(work, f.isTouched, touched, f.lcols[k], v)
+		work[piv] = 0
+	}
+	return ucol, touched
+}
+
+// scatterSub subtracts v·col from work and appends the rows it touches for
+// the first time to touched, which has capacity for every row. It is kept
+// free of allocation calls so its loop runs entirely in registers.
+func scatterSub(work []float64, isTouched []bool, touched []int, col []luEntry, v float64) []int {
+	nt, all := len(touched), touched[:cap(touched)]
+	for _, le := range col {
+		r := le.idx
+		if !isTouched[r] {
+			isTouched[r] = true
+			all[nt] = r
+			nt++
+		}
+		work[r] -= v * le.val
+	}
+	return all[:nt]
+}
+
+// resize sets f's dimension to m, reusing its arrays when their capacity
+// suffices. The scratch arrays are all-zero between calls, so only the
+// newly allocated ones need initialising, which make does.
+func (f *luFactors) resize(m int) {
+	f.m = m
+	if cap(f.perm) >= m {
+		f.perm, f.pinv, f.udiag = f.perm[:m], f.pinv[:m], f.udiag[:m]
+		f.lcols, f.ucols = f.lcols[:m], f.ucols[:m]
+		f.work, f.isTouched = f.work[:m], f.isTouched[:m]
+		return
+	}
+	f.perm = make([]int, m)
+	f.pinv = make([]int, m)
+	f.udiag = make([]float64, m)
+	f.lcols = make([][]luEntry, m)
+	f.ucols = make([][]luEntry, m)
+	f.work = make([]float64, m)
+	f.isTouched = make([]bool, m)
+	f.touched = make([]int, 0, m)
+	f.reach = make([]int, 0, m)
 }
 
 // solve computes x with B x = v in place: v is both input and output, and

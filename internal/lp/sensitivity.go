@@ -9,9 +9,9 @@ import "math"
 // own 1e-6 infeasibility threshold keeps certificate verdicts consistent
 // with what a real solve would report.
 const (
-	certPointTol = 1e-7  // bound slack allowed on a feasible witness point
-	certZeroTol  = 1e-9  // |z_j| below this counts as zero column price
-	certGapMin   = 1e-6  // required Farkas gap, matching coldSolve's threshold
+	certPointTol = 1e-7 // bound slack allowed on a feasible witness point
+	certZeroTol  = 1e-9 // |z_j| below this counts as zero column price
+	certGapMin   = 1e-6 // required Farkas gap, matching coldSolve's threshold
 )
 
 // Certificate is a reusable proof object exported by a solved probe:

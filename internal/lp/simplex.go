@@ -201,6 +201,7 @@ type simplex struct {
 	n       int       // structural + slack columns
 	nStruct int       // structural columns only (first nStruct of n)
 	art     []float64 // artificial signs; artificial i is column n+i = sign·e_i
+	artIdx  []int     // artIdx[i] = i: the row pattern of artificial i
 	cMin    []float64 // phase-2 (minimization) costs, length nTotal
 	negate  bool      // original sense was Maximize; negate objective on extract
 
@@ -210,24 +211,30 @@ type simplex struct {
 	xB     []float64
 	factor basisFactor
 
-	iters      int
-	boundFlips int // pivots resolved as bound flips (no basis change)
-	degenRun   int
-	blandMode  bool
+	// refactorize workspace: the LU factors are rebuilt in place, from
+	// basis columns listed in luRows/luVals.
+	lu     *luFactors
+	luRows [][]int
+	luVals [][]float64
+
+	iters       int
+	boundFlips  int // pivots resolved as bound flips (no basis change)
+	degenRun    int
+	blandMode   bool
 	cursor      int       // rotating start for partial pricing
 	gamma       []float64 // devex reference weights, length nTotal; nil until first devex price
 	devexResets int       // reference-framework restarts this solve
 
 	// Infeasibility provenance, for Farkas-certificate extraction.
-	phase1      bool    // state still holds phase-1 costs (cold infeasible exit)
-	infeasRow   int     // dual-simplex exit row, or -1
-	infeasSigma float64 // dual-simplex exit direction (±1)
-	scratch   []float64 // length m
-	yRow      []float64 // BTRAN result, by row
-	wBuf      []float64 // ratio-test column buffer, by slot
-	rho       []float64 // dual-simplex pivot-row buffer, length m
-	deadline  time.Time // zero value: no wall-clock limit
-	untilTick int       // pivots until the next wall-clock check
+	phase1      bool      // state still holds phase-1 costs (cold infeasible exit)
+	infeasRow   int       // dual-simplex exit row, or -1
+	infeasSigma float64   // dual-simplex exit direction (±1)
+	scratch     []float64 // length m
+	yRow        []float64 // BTRAN result, by row
+	wBuf        []float64 // ratio-test column buffer, by slot
+	rho         []float64 // dual-simplex pivot-row buffer, length m
+	deadline    time.Time // zero value: no wall-clock limit
+	untilTick   int       // pivots until the next wall-clock check
 }
 
 // deadlineCheckEvery spaces out the wall-clock checks so the time syscall
@@ -285,25 +292,26 @@ func (s *simplex) nonbasicValue(j int) float64 {
 }
 
 // refactorize rebuilds the LU factorization from the current basis and
-// recomputes the basic values from scratch.
+// recomputes the basic values from scratch. The factors are rebuilt in
+// place in s.lu, so on errSingular the factorization is gone: s.factor is
+// left cleared, and the state must not be ftran'd or btran'd again before
+// a successful refactorize.
 func (s *simplex) refactorize() error {
-	colRows := make([][]int, s.m)
-	colVals := make([][]float64, s.m)
+	colRows, colVals := s.luRows, s.luVals
 	for slot, j := range s.basis {
 		if j < s.n {
-			r, v := s.a.col(j)
-			colRows[slot], colVals[slot] = r, v
+			colRows[slot], colVals[slot] = s.a.col(j)
 		} else {
 			i := j - s.n
-			colRows[slot] = []int{i}
-			colVals[slot] = []float64{s.art[i]}
+			colRows[slot], colVals[slot] = s.artIdx[i:i+1], s.art[i:i+1]
 		}
 	}
-	lu, err := luFactorize(s.m, colRows, colVals)
-	if err != nil {
+	etas := s.factor.etas[:0]
+	s.factor = basisFactor{}
+	if err := s.lu.factorize(s.m, colRows, colVals); err != nil {
 		return err
 	}
-	s.factor = basisFactor{lu: lu}
+	s.factor = basisFactor{lu: s.lu, etas: etas}
 	s.recomputeXB()
 	return nil
 }

@@ -216,6 +216,7 @@ type solverBufs struct {
 	c, cMin  []float64
 	b        []float64
 	art      []float64
+	artIdx   []int // artIdx[i] = i over the full capacity
 	basis    []int
 	pos      []int
 	state    []int8
@@ -224,6 +225,9 @@ type solverBufs struct {
 	yRow     []float64
 	wBuf     []float64
 	rho      []float64
+	lu       *luFactors
+	luRows   [][]int
+	luVals   [][]float64
 }
 
 // grab returns the model's cached buffers resliced to the assembled shape
@@ -238,10 +242,11 @@ func (m *Model) grabBufs(n, nRows int) *solverBufs {
 		bf.l, bf.u = bf.l[:t], bf.u[:t]
 		bf.c, bf.cMin = bf.c[:t], bf.cMin[:t]
 		bf.pos, bf.state = bf.pos[:t], bf.state[:t]
-		bf.b, bf.art = bf.b[:nRows], bf.art[:nRows]
+		bf.b, bf.art, bf.artIdx = bf.b[:nRows], bf.art[:nRows], bf.artIdx[:nRows]
 		bf.basis, bf.xB = bf.basis[:nRows], bf.xB[:nRows]
 		bf.scratch, bf.yRow = bf.scratch[:nRows], bf.yRow[:nRows]
 		bf.wBuf, bf.rho = bf.wBuf[:nRows], bf.rho[:nRows]
+		bf.luRows, bf.luVals = bf.luRows[:nRows], bf.luVals[:nRows]
 		// Zero the two cost vectors: phase 1 needs zero structural costs,
 		// and the minimization-form costs are only written for structural
 		// columns. All other arrays are fully overwritten before use.
@@ -275,6 +280,14 @@ func (m *Model) grabBufs(n, nRows int) *solverBufs {
 		yRow:    make([]float64, nRows, capM),
 		wBuf:    make([]float64, nRows, capM),
 		rho:     make([]float64, nRows, capM),
+		artIdx:  make([]int, nRows, capM),
+		lu:      &luFactors{},
+		luRows:  make([][]int, nRows, capM),
+		luVals:  make([][]float64, nRows, capM),
+	}
+	idx := bf.artIdx[:capM]
+	for i := range idx {
+		idx[i] = i
 	}
 	m.bufs = bf
 	return bf
@@ -346,6 +359,7 @@ func (m *Model) assemble(opt Options) *simplex {
 		m:       nRows,
 		n:       n,
 		art:     bf.art,
+		artIdx:  bf.artIdx,
 		basis:   bf.basis,
 		pos:     bf.pos,
 		state:   bf.state,
@@ -354,6 +368,9 @@ func (m *Model) assemble(opt Options) *simplex {
 		yRow:    bf.yRow,
 		wBuf:    bf.wBuf,
 		rho:     bf.rho,
+		lu:      bf.lu,
+		luRows:  bf.luRows,
+		luVals:  bf.luVals,
 	}
 	for j := range s.pos {
 		s.pos[j] = -1

@@ -273,9 +273,9 @@ func resolveCarry(cfg RETConfig, key, pathsKey string, useGlobal bool) *Componen
 // retSearchEnv bundles the solving machinery one component's binary
 // search runs against.
 type retSearchEnv struct {
-	chain  *retChain    // extraction chain; its seed solve answers the ceiling probe
-	prober *retProber   // probe chain + certificates; nil on the cold path
-	spec   *speculator  // shared speculative solver; nil without spare workers
+	chain  *retChain   // extraction chain; its seed solve answers the ceiling probe
+	prober *retProber  // probe chain + certificates; nil on the cold path
+	spec   *speculator // shared speculative solver; nil without spare workers
 }
 
 // retSearch runs the feasibility binary search for b̂ on one instance
