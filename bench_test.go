@@ -158,15 +158,15 @@ func retBenchInstance(b *testing.B) *schedule.Instance {
 	return inst
 }
 
-// BenchmarkRETWarmVsCold measures the tentpole speedup: the RET binary
-// search re-solved cold every round versus warm-started probes chaining a
-// basis across rounds (and, like the controller's epoch loop, across
-// iterations via ProbeBasis). Schedules are byte-identical either way —
-// see TestSolveRETWarmByteIdentical.
-func BenchmarkRETWarmVsCold(b *testing.B) {
+// BenchmarkRETCarry measures the cross-epoch carry: every solve seeded
+// with the previous solve's ProbeBases — probe bases and certificates, as
+// the controller's epoch loop hands them over — versus every solve
+// starting from nothing. Schedules are byte-identical either way — see
+// TestSolveRETWarmByteIdentical.
+func BenchmarkRETCarry(b *testing.B) {
 	inst := retBenchInstance(b)
 	cfg := schedule.RETConfig{BMax: 3, Solver: lp.Options{Pricing: lp.PartialDantzig}}
-	b.Run("cold", func(b *testing.B) {
+	b.Run("none", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := schedule.SolveRET(inst, cfg)
 			if err != nil {
@@ -177,15 +177,14 @@ func BenchmarkRETWarmVsCold(b *testing.B) {
 			}
 		}
 	})
-	b.Run("warm", func(b *testing.B) {
-		wcfg := cfg
-		wcfg.WarmStart = true
+	b.Run("carry", func(b *testing.B) {
+		ccfg := cfg
 		for i := 0; i < b.N; i++ {
-			res, err := schedule.SolveRET(inst, wcfg)
+			res, err := schedule.SolveRET(inst, ccfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			wcfg.WarmBasis = res.ProbeBasis // carry across epochs, like the controller
+			ccfg.WarmComponents = res.ProbeBases
 		}
 	})
 }

@@ -55,7 +55,6 @@ type benchReport struct {
 	Nodes   int                  `json:"nodes"`
 	Jobs    int                  `json:"jobs"`
 	Seeds   int                  `json:"seeds"`
-	Warm    bool                 `json:"warm"`
 	Figures map[string]figReport `json:"figures"`
 }
 
@@ -149,8 +148,7 @@ func main() {
 		scaleName = "custom"
 	}
 	report := benchReport{
-		Scale: scaleName, Nodes: sc.Nodes, Jobs: sc.Jobs,
-		Seeds: len(sc.Seeds), Warm: sc.Warm,
+		Scale: scaleName, Nodes: sc.Nodes, Jobs: sc.Jobs, Seeds: len(sc.Seeds),
 		Figures: map[string]figReport{},
 	}
 	record := func(name string, elapsed time.Duration, m map[string]float64) {
@@ -378,11 +376,21 @@ func main() {
 	}
 }
 
+// exactMetrics lists, per figure, the deterministic counters that must
+// equal the baseline exactly. For the RET search these are b̂ and how its
+// probes were answered: a pruning path that silently switches off moves
+// them even when the wall-clock gate cannot tell.
+var exactMetrics = map[string][]string{
+	"ret": {"b_hat", "probes_solved", "probes_pruned"},
+}
+
 // compareBaseline fails when any figure present in both the fresh report
 // and the committed baseline regressed by more than maxPct percent on
-// ns_per_op or on its lp_ms metric. Figures only one side has (new
-// figures, or a baseline from a run with a different -fig selection) are
-// skipped: the guard tracks trajectories, it does not pin the figure set.
+// ns_per_op or on its lp_ms metric, or when one of the figure's
+// exactMetrics differs from the baseline at all. Figures only one side has
+// (new figures, or a baseline from a run with a different -fig selection)
+// are skipped: the guard tracks trajectories, it does not pin the figure
+// set.
 func compareBaseline(path string, fresh benchReport, maxPct float64) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -434,9 +442,22 @@ func compareBaseline(path string, fresh benchReport, maxPct float64) error {
 				check(name, "jobs_per_sec (inverted)", 1/oldTP, 1/newTP)
 			}
 		}
+		for _, metric := range exactMetrics[name] {
+			old, ok := br.Metrics[metric]
+			if !ok {
+				continue
+			}
+			status := "ok"
+			if fr.Metrics[metric] != old {
+				status = "CHANGED"
+				failed = true
+			}
+			fmt.Printf("baseline %s/%s: %v -> %v (must match exactly) %s\n",
+				name, metric, old, fr.Metrics[metric], status)
+		}
 	}
 	if failed {
-		return fmt.Errorf("performance regressed beyond %.0f%% vs %s", maxPct, path)
+		return fmt.Errorf("benchmark regressed vs %s (wall-clock limit +%.0f%%, exact counters must match)", path, maxPct)
 	}
 	return nil
 }

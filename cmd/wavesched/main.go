@@ -89,7 +89,6 @@ func main() {
 		k        = flag.Int("k", 4, "allowed paths per job")
 		alpha    = flag.Float64("alpha", 0.1, "stage-2 fairness slack")
 		bmax     = flag.Float64("bmax", 5, "RET extension ceiling")
-		warm     = flag.Bool("warm", false, "warm-start LP solves across repeated-solve loops (same schedules, fewer pivots)")
 		mono     = flag.Bool("monolithic", false, "disable instance decomposition; solve every instance as one coupled model")
 		colgen   = flag.Bool("colgen", false, "price path columns on demand (column generation) instead of enumerating -k paths upfront")
 		verbose  = flag.Bool("verbose", false, "dump per-slice assignments")
@@ -148,9 +147,9 @@ func main() {
 
 	switch *algo {
 	case "maxthroughput":
-		runMaxThroughput(g, jobs, *slices, *sliceLen, *k, *alpha, *warm, *mono, *colgen, *verbose)
+		runMaxThroughput(g, jobs, *slices, *sliceLen, *k, *alpha, *mono, *colgen, *verbose)
 	case "ret":
-		runRET(g, jobs, *sliceLen, *k, *bmax, *warm, *mono, *colgen, *verbose)
+		runRET(g, jobs, *sliceLen, *k, *bmax, *mono, *colgen, *verbose)
 	case "admit":
 		runAdmit(g, jobs, *slices, *sliceLen, *k)
 	case "bottleneck":
@@ -158,7 +157,7 @@ func main() {
 	case "sim":
 		err := runSim(os.Stdout, g, jobs, simOptions{
 			Tau: *tau, SliceLen: *sliceLen, K: *k, Alpha: *alpha, BMax: *bmax,
-			Policy: *policy, MaxTime: *maxTime, JSON: *jsonOut, Warm: *warm, Monolithic: *mono,
+			Policy: *policy, MaxTime: *maxTime, JSON: *jsonOut, Monolithic: *mono,
 			ColumnGen: *colgen,
 			FailTrace: *failTrace, MTBF: *mtbf, MTTR: *mttr, FailSeed: *failSeed,
 		})
@@ -306,7 +305,7 @@ func setupLogging(level string) error {
 	return nil
 }
 
-func runMaxThroughput(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen float64, k int, alpha float64, warm, mono, colgen, verbose bool) {
+func runMaxThroughput(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen float64, k int, alpha float64, mono, colgen, verbose bool) {
 	grid, err := timeslice.Uniform(0, sliceLen, slices)
 	if err != nil {
 		fatal("%v", err)
@@ -324,7 +323,7 @@ func runMaxThroughput(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen fl
 			stats.SeedPaths, stats.AddedPaths, stats.Rounds, stats.Solves)
 	}
 	res, err := schedule.MaxThroughput(inst, schedule.Config{
-		Alpha: alpha, AlphaGrowth: 0.1, Solver: lpOptions(), WarmStart: warm,
+		Alpha: alpha, AlphaGrowth: 0.1, Solver: lpOptions(),
 		Monolithic: mono,
 	})
 	if err != nil {
@@ -361,7 +360,7 @@ func runMaxThroughput(g *netgraph.Graph, jobs []job.Job, slices int, sliceLen fl
 	}
 }
 
-func runRET(g *netgraph.Graph, jobs []job.Job, sliceLen float64, k int, bmax float64, warm, mono, colgen, verbose bool) {
+func runRET(g *netgraph.Graph, jobs []job.Job, sliceLen float64, k int, bmax float64, mono, colgen, verbose bool) {
 	inst, err := schedule.BuildRETInstanceOpts(g, jobs, sliceLen, k, bmax, schedule.InstanceOptions{K: k, ColumnGen: colgen})
 	if err != nil {
 		fatal("%v", err)
@@ -376,7 +375,7 @@ func runRET(g *netgraph.Graph, jobs []job.Job, sliceLen float64, k int, bmax flo
 		fmt.Printf("column generation: %d seed paths, %d priced in over %d rounds (%d solves)\n",
 			stats.SeedPaths, stats.AddedPaths, stats.Rounds, stats.Solves)
 	}
-	res, err := schedule.SolveRET(inst, schedule.RETConfig{BMax: bmax, Solver: lpOptions(), WarmStart: warm, Monolithic: mono})
+	res, err := schedule.SolveRET(inst, schedule.RETConfig{BMax: bmax, Solver: lpOptions(), Monolithic: mono})
 	if err != nil {
 		fatal("%v", err)
 	}

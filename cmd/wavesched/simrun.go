@@ -23,7 +23,6 @@ type simOptions struct {
 	Policy   string
 	MaxTime  float64
 	JSON     bool // emit the run result as JSON instead of text
-	Warm     bool // warm-start LP solves across epochs
 
 	// Monolithic disables structural instance decomposition (the default
 	// solve path splits independent job clusters into per-component LPs).
@@ -98,7 +97,7 @@ func runSim(w io.Writer, g *netgraph.Graph, jobs []job.Job, o simOptions) error 
 	ctrl, err := controller.New(g, controller.Config{
 		Tau: o.Tau, SliceLen: o.SliceLen, K: o.K, Alpha: o.Alpha,
 		Policy: policy, BMax: o.BMax, Solver: lpOptions(), Tracer: tracer,
-		WarmStart: o.Warm, Monolithic: o.Monolithic, ColumnGen: o.ColumnGen,
+		Monolithic: o.Monolithic, ColumnGen: o.ColumnGen,
 	})
 	if err != nil {
 		return err

@@ -10,59 +10,11 @@ import (
 	"wavesched/internal/workload"
 )
 
-// runColGenScenario drives the warm_test fault scenario with column
-// generation on: epoch instances start from seed paths plus whatever
-// earlier epochs priced in, grown by GeneratePaths before each solve.
-func runColGenScenario(t *testing.T, policy Policy, warm bool) ([]Record, []EpochStat) {
-	t.Helper()
-	g, err := netgraph.Waxman(netgraph.WaxmanConfig{
-		Nodes: 8, LinkPairs: 16, Wavelengths: 2, Seed: 21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := workload.Generate(g, workload.Config{
-		Jobs: 6, Seed: 22, GBToDemand: 0.4, MinWindow: 2, MaxWindow: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(g, Config{
-		Tau: 1, SliceLen: 1, Policy: policy, BMax: 3, WarmStart: warm,
-		ColumnGen: true,
-		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		if err := c.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 30 && !c.Idle(); i++ {
-		if err := c.RunEpoch(); err != nil {
-			t.Fatal(err)
-		}
-		switch i {
-		case 2:
-			if err := c.LinkDown(netgraph.EdgeID(0), c.Now()+0.25); err != nil {
-				t.Fatal(err)
-			}
-		case 5:
-			if err := c.LinkUp(netgraph.EdgeID(0), c.Now()+0.25); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return c.Records(), c.EpochStats()
-}
-
 // TestControllerColumnGenWarmByteIdentical runs the fault scenario with
-// column generation under both policies, warm and cold: the records and
-// epoch stats must be bit-identical — pricing is deterministic, so the
-// grown path sets (and therefore the schedules) cannot depend on basis
-// reuse.
+// column generation under both policies, with the cross-epoch RET carry
+// and without it: the records and epoch stats must be bit-identical —
+// pricing is deterministic, so the grown path sets (and therefore the
+// schedules) cannot depend on basis or certificate reuse.
 func TestControllerColumnGenWarmByteIdentical(t *testing.T) {
 	for _, pol := range []struct {
 		name   string
@@ -72,34 +24,21 @@ func TestControllerColumnGenWarmByteIdentical(t *testing.T) {
 		{"maxthroughput", PolicyMaxThroughput},
 	} {
 		t.Run(pol.name, func(t *testing.T) {
+			cfg := Config{Tau: 1, SliceLen: 1, Policy: pol.policy, BMax: 3, ColumnGen: true}
 			solvesBefore := telemetry.Default().Counter("schedule_colgen_solves_total", "").Value()
-			coldRecs, coldStats := runColGenScenario(t, pol.policy, false)
+			freshRecs, freshStats, _ := runScenario(t, cfg, false)
 			if telemetry.Default().Counter("schedule_colgen_solves_total", "").Value() == solvesBefore {
 				t.Fatal("scenario never engaged the column-generation pricing loop")
 			}
-			warmRecs, warmStats := runColGenScenario(t, pol.policy, true)
-			if len(coldRecs) == 0 {
-				t.Fatal("scenario produced no records")
-			}
+			carryRecs, carryStats, _ := runScenario(t, cfg, true)
 			delivered := 0.0
-			for _, r := range coldRecs {
+			for _, r := range freshRecs {
 				delivered += r.Delivered
 			}
 			if delivered == 0 {
 				t.Fatal("nothing delivered under column generation")
 			}
-			if cb, wb := recordsBytes(coldRecs), recordsBytes(warmRecs); cb != wb {
-				t.Errorf("records differ between warm and cold colgen runs:\ncold:\n%s\nwarm:\n%s", cb, wb)
-			}
-			if len(coldStats) != len(warmStats) {
-				t.Fatalf("epoch count differs: cold=%d warm=%d", len(coldStats), len(warmStats))
-			}
-			for i := range coldStats {
-				if coldStats[i].Scheduled != warmStats[i].Scheduled ||
-					coldStats[i].Tier != warmStats[i].Tier {
-					t.Errorf("epoch %d stats differ: cold=%+v warm=%+v", i, coldStats[i], warmStats[i])
-				}
-			}
+			requireSameRun(t, freshRecs, carryRecs, freshStats, carryStats)
 		})
 	}
 }

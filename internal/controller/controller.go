@@ -122,15 +122,6 @@ type Config struct {
 	// Logger receives degraded-epoch and recovery diagnostics; nil
 	// selects slog.Default().
 	Logger *slog.Logger
-	// WarmStart carries the LP basis across epochs: RET probe bases and
-	// stage-2 α-ladder bases are retained per decomposition component, so
-	// only components whose job mix or edge set actually changed lose their
-	// basis (LinkDown invalidates just the components using the failed
-	// link; LinkUp clears everything, since restored capacity can re-couple
-	// components). Repeated-solve loops inside one epoch also chain their
-	// bases. The committed schedules are byte-identical either way; only
-	// solve time changes.
-	WarmStart bool
 	// Monolithic forces single-model solves even on instances that
 	// decompose into independent components — the A/B switch against the
 	// decomposed parallel path (the default).
@@ -289,12 +280,15 @@ type Controller struct {
 	// pathCache memoizes per-(src, dst) path sets across epoch instance
 	// builds, keyed by the failed-link set (see schedule.PathCache).
 	pathCache *schedule.PathCache
-	// warmRET chains RET probe bases across epochs under Config.WarmStart,
-	// one entry per decomposition component keyed by its job-ID
-	// fingerprint and tagged with its edge set. A changed job mix simply
-	// misses the map for the affected components (the lp layer would
-	// reject the structural mismatch anyway), and a link failure evicts
-	// only the components whose paths used the failed edge.
+	// warmRET carries RET probe bases and certificates across epochs, one
+	// entry per decomposition component keyed by its job-ID fingerprint
+	// and tagged with its edge set. A changed job mix simply misses the
+	// map for the affected components (the lp layer would reject the
+	// structural mismatch anyway), a link failure evicts only the
+	// components whose paths used the failed edge, and a repair clears
+	// the map, since restored capacity can re-couple components. The
+	// committed schedules are byte-identical with or without the carry;
+	// only solve time changes.
 	warmRET map[string]*schedule.ComponentBasis
 	// planCache carries per-component stage-1/stage-2 plans between
 	// epochs under Config.Incremental, replaced wholesale by every
@@ -1195,8 +1189,7 @@ func (c *Controller) solvePolicy(inst *schedule.Instance, fresh []*activeJob, no
 	case PolicyMaxThroughput, PolicyReject:
 		scfg := schedule.Config{
 			Alpha: c.cfg.Alpha, AlphaGrowth: 0.1, Solver: c.solverOpts(),
-			Weight: c.cfg.Weight, WarmStart: c.cfg.WarmStart,
-			Monolithic: c.cfg.Monolithic,
+			Weight: c.cfg.Weight, Monolithic: c.cfg.Monolithic,
 		}
 		var res *schedule.Result
 		var err error
@@ -1219,9 +1212,13 @@ func (c *Controller) solvePolicy(inst *schedule.Instance, fresh []*activeJob, no
 		}
 		return res.LPDAR, nil
 	case PolicyRET:
+		// The previous epoch's probe bases and certificates are handed over
+		// per component: components whose job mix changed miss the map, a
+		// mismatched basis is merely a wasted lp fallback, and a stale
+		// certificate self-declines — never a wrong answer.
 		retCfg := schedule.RETConfig{
 			BMax: c.cfg.BMax, Solver: c.solverOpts(),
-			Monolithic: c.cfg.Monolithic,
+			Monolithic: c.cfg.Monolithic, WarmComponents: c.warmRET,
 			// Stream every search probe into the epoch's trajectory log,
 			// including probes whose solve errored — a forced lp timeout
 			// must still leave its trajectory for the flight recorder.
@@ -1231,17 +1228,6 @@ func (c *Controller) solvePolicy(inst *schedule.Instance, fresh []*activeJob, no
 				c.probeMu.Unlock()
 			},
 		}
-		if c.cfg.WarmStart {
-			retCfg.WarmStart = true
-			retCfg.Certificates = true
-			// Hand the previous epoch's probe bases AND certificates over
-			// per component; components whose job mix changed miss the
-			// map, a mismatched basis is merely a wasted lp fallback, and
-			// a stale certificate self-declines — never a wrong answer.
-			if len(c.warmRET) > 0 {
-				retCfg.WarmComponents = c.warmRET
-			}
-		}
 		res, err := schedule.SolveRET(inst, retCfg)
 		if err != nil {
 			// A failed search (typically infeasible even at BMax) still
@@ -1249,7 +1235,7 @@ func (c *Controller) solvePolicy(inst *schedule.Instance, fresh []*activeJob, no
 			// often just as overloaded — refute its ceiling probe without
 			// a solve. Merge rather than replace: components the failed
 			// search never reached keep their carried entries.
-			if c.cfg.WarmStart && res != nil && len(res.ProbeBases) > 0 {
+			if res != nil && len(res.ProbeBases) > 0 {
 				if c.warmRET == nil {
 					c.warmRET = make(map[string]*schedule.ComponentBasis, len(res.ProbeBases))
 				}
@@ -1259,11 +1245,9 @@ func (c *Controller) solvePolicy(inst *schedule.Instance, fresh []*activeJob, no
 			}
 			return nil, fmt.Errorf("controller: epoch at t=%g: %w", now, err)
 		}
-		if c.cfg.WarmStart {
-			// Replace wholesale: entries for components that dissolved this
-			// epoch are pruned automatically.
-			c.warmRET = res.ProbeBases
-		}
+		// Replace wholesale: entries for components that dissolved this
+		// epoch are pruned automatically.
+		c.warmRET = res.ProbeBases
 		c.lastSolve = &solveInfo{
 			bhat: res.BHat, b: res.B, components: res.Components,
 			jobComponents: res.JobComponents, bhats: res.BHats,
@@ -1302,11 +1286,11 @@ func (c *Controller) solvePolicy(inst *schedule.Instance, fresh []*activeJob, no
 	}
 }
 
-// dropWarmBasesUsing evicts warm-basis entries for components whose path
-// sets touch edge e; components that never routed over e keep their bases
-// (their k-shortest path sets over the residual topology are unchanged, so
-// their next-epoch fingerprints still match).
-func (c *Controller) dropWarmBasesUsing(e netgraph.EdgeID) {
+// dropRETCarryUsing evicts the RET carry of components whose path sets
+// touch edge e; components that never routed over e keep theirs (their
+// k-shortest path sets over the residual topology are unchanged, so their
+// next-epoch fingerprints still match).
+func (c *Controller) dropRETCarryUsing(e netgraph.EdgeID) {
 	for key, cb := range c.warmRET {
 		for _, ce := range cb.Edges {
 			if ce == e {
@@ -1357,7 +1341,7 @@ func (c *Controller) LinkDown(e netgraph.EdgeID, t float64) error {
 	}
 	c.down[e] = true
 	c.resid = nil
-	c.dropWarmBasesUsing(e) // only components routed over e lose their basis
+	c.dropRETCarryUsing(e) // only components routed over e lose their carry
 	// The incremental plan cache is pinned to the healthy graph object;
 	// the residual-graph swap defeats every structural match, so drop it.
 	c.planCache = nil

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"testing"
 
 	"wavesched/internal/job"
 	"wavesched/internal/netgraph"
+	"wavesched/internal/schedule"
 	"wavesched/internal/telemetry"
 	"wavesched/internal/workload"
 )
@@ -25,8 +27,11 @@ func recordsBytes(recs []Record) string {
 
 // runScenario drives one controller through a multi-epoch overloaded
 // scenario with a mid-run link failure and repair, returning the final
-// records and epoch stats.
-func runScenario(t *testing.T, policy Policy, warm bool) ([]Record, []EpochStat) {
+// records and epoch stats plus the number of RET solves that were handed
+// a non-empty cross-epoch carry. Without carry, c.warmRET is cleared
+// before every epoch and every failure replan, so each solve starts from
+// nothing.
+func runScenario(t *testing.T, cfg Config, carry bool) ([]Record, []EpochStat, int) {
 	t.Helper()
 	g, err := netgraph.Waxman(netgraph.WaxmanConfig{
 		Nodes: 8, LinkPairs: 16, Wavelengths: 2, Seed: 21,
@@ -40,15 +45,9 @@ func runScenario(t *testing.T, policy Policy, warm bool) ([]Record, []EpochStat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// BMax is sized so the first epoch runs a full bisection search (b̂ ≈
-	// 4.35): that exercises chained re-entry and certificate pruning inside
-	// the search, which the reuse assertion below depends on. Degraded
-	// (RET-infeasible) epochs are covered by fault_test.go; log noise from
-	// the disruption epochs is discarded.
-	c, err := New(g, Config{
-		Tau: 1, SliceLen: 1, K: 3, Policy: policy, BMax: 5, WarmStart: warm,
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
+	// Log noise from the disruption epochs is discarded.
+	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	c, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +56,23 @@ func runScenario(t *testing.T, policy Policy, warm bool) ([]Record, []EpochStat)
 			t.Fatal(err)
 		}
 	}
+	carried := 0
+	prepare := func() {
+		if !carry {
+			c.warmRET = nil
+		}
+		if len(c.warmRET) > 0 {
+			carried++
+		}
+	}
 	for i := 0; i < 30 && !c.Idle(); i++ {
+		prepare()
 		if err := c.RunEpoch(); err != nil {
 			t.Fatal(err)
 		}
 		switch i {
 		case 2:
+			prepare()
 			if err := c.LinkDown(netgraph.EdgeID(0), c.Now()+0.25); err != nil {
 				t.Fatal(err)
 			}
@@ -72,12 +82,39 @@ func runScenario(t *testing.T, policy Policy, warm bool) ([]Record, []EpochStat)
 			}
 		}
 	}
-	return c.Records(), c.EpochStats()
+	if cfg.Policy != PolicyRET {
+		carried = 0 // the carry map only feeds RET solves
+	}
+	return c.Records(), c.EpochStats(), carried
 }
 
-// TestControllerWarmByteIdenticalRecords runs the same fault scenario warm
-// and cold under both policies: every record and every epoch stat must be
-// bit-identical, or WAL replay (PR 3) would diverge.
+// requireSameRun fails unless two scenario runs produced bit-identical
+// records and the same per-epoch schedule stats.
+func requireSameRun(t *testing.T, freshRecs, carryRecs []Record, freshStats, carryStats []EpochStat) {
+	t.Helper()
+	if len(freshRecs) == 0 {
+		t.Fatal("scenario produced no records")
+	}
+	if fb, cb := recordsBytes(freshRecs), recordsBytes(carryRecs); fb != cb {
+		t.Errorf("records differ between no-carry and carry runs:\nno carry:\n%s\ncarry:\n%s", fb, cb)
+	}
+	if len(freshStats) != len(carryStats) {
+		t.Fatalf("epoch count differs: no carry=%d carry=%d", len(freshStats), len(carryStats))
+	}
+	for i := range freshStats {
+		if freshStats[i].Scheduled != carryStats[i].Scheduled ||
+			freshStats[i].Utilization != carryStats[i].Utilization ||
+			freshStats[i].Tier != carryStats[i].Tier {
+			t.Errorf("epoch %d stats differ: no carry=%+v carry=%+v", i, freshStats[i], carryStats[i])
+		}
+	}
+}
+
+// TestControllerWarmByteIdenticalRecords runs the same fault scenario with
+// the cross-epoch RET carry and without it, under both policies: every
+// record and every epoch stat must be bit-identical, or WAL replay would
+// diverge. BMax is sized so the first epoch runs a full bisection search
+// (b̂ ≈ 4.35), which exercises chained re-entry and certificate pruning.
 func TestControllerWarmByteIdenticalRecords(t *testing.T) {
 	for _, pol := range []struct {
 		name   string
@@ -87,37 +124,76 @@ func TestControllerWarmByteIdenticalRecords(t *testing.T) {
 		{"maxthroughput", PolicyMaxThroughput},
 	} {
 		t.Run(pol.name, func(t *testing.T) {
-			coldRecs, coldStats := runScenario(t, pol.policy, false)
-			warmBefore := telemetry.Default().Counter("lp_warmstart_hits_total", "").Value()
-			prunedBefore := telemetry.Default().Counter("lp_probe_pruned_total", "").Value()
-			warmRecs, warmStats := runScenario(t, pol.policy, true)
-			if len(coldRecs) == 0 {
-				t.Fatal("scenario produced no records")
-			}
+			cfg := Config{Tau: 1, SliceLen: 1, K: 3, Policy: pol.policy, BMax: 5}
+			pruned := telemetry.Default().Counter("lp_probe_pruned_total", "")
+			before := pruned.Value()
+			freshRecs, freshStats, _ := runScenario(t, cfg, false)
+			carryRecs, carryStats, carried := runScenario(t, cfg, true)
 			if pol.policy == PolicyRET {
-				// Cross-epoch reuse shows up either as a warm-started solve
-				// or — stronger — as a probe answered by a carried
-				// certificate with no solve at all.
-				hits := telemetry.Default().Counter("lp_warmstart_hits_total", "").Value()
-				pruned := telemetry.Default().Counter("lp_probe_pruned_total", "").Value()
-				if hits == warmBefore && pruned == prunedBefore {
-					t.Error("warm run engaged neither the lp warm-start path nor certificate pruning")
+				if carried == 0 {
+					t.Error("no RET solve was handed the previous epoch's carry")
+				}
+				if pruned.Value() == before {
+					t.Error("no probe was certificate-pruned")
 				}
 			}
-			if cb, wb := recordsBytes(coldRecs), recordsBytes(warmRecs); cb != wb {
-				t.Errorf("records differ between warm and cold runs:\ncold:\n%s\nwarm:\n%s", cb, wb)
-			}
-			if len(coldStats) != len(warmStats) {
-				t.Fatalf("epoch count differs: cold=%d warm=%d", len(coldStats), len(warmStats))
-			}
-			for i := range coldStats {
-				if coldStats[i].Scheduled != warmStats[i].Scheduled ||
-					coldStats[i].Utilization != warmStats[i].Utilization ||
-					coldStats[i].Tier != warmStats[i].Tier {
-					t.Errorf("epoch %d stats differ: cold=%+v warm=%+v", i, coldStats[i], warmStats[i])
-				}
-			}
+			requireSameRun(t, freshRecs, carryRecs, freshStats, carryStats)
 		})
+	}
+}
+
+// TestLinkEventsInvalidateRETCarry: after an RET epoch, LinkDown(e)
+// evicts exactly the carried entries whose component routes over e and
+// keeps the rest untouched, and LinkUp clears the carry.
+func TestLinkEventsInvalidateRETCarry(t *testing.T) {
+	g := netgraph.Line(6, 2, 10)
+	c := newCtrl(t, g, PolicyRET)
+	for i, p := range [][2]netgraph.NodeID{{0, 1}, {2, 3}, {4, 5}} {
+		if err := c.Submit(job.Job{ID: job.ID(i + 1), Src: p[0], Dst: p[1], Size: 2, Start: 0, End: 6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.warmRET) != 3 {
+		t.Fatalf("RET epoch carried %d components, want 3", len(c.warmRET))
+	}
+	down := netgraph.EdgeID(-1)
+	for _, e := range g.Edges() {
+		if e.From == 0 && e.To == 1 {
+			down = e.ID
+		}
+	}
+	before := make(map[string]*schedule.ComponentBasis, len(c.warmRET))
+	for k, v := range c.warmRET {
+		before[k] = v
+	}
+	// At the period's end nothing is left to replan, so the carry map
+	// reflects the eviction alone.
+	if err := c.LinkDown(down, c.Now()); err != nil {
+		t.Fatal(err)
+	}
+	evicted := 0
+	for key, cb := range before {
+		got, kept := c.warmRET[key]
+		if slices.Contains(cb.Edges, down) {
+			evicted++
+			if kept {
+				t.Errorf("component {%s} routes over the failed edge but kept its carry", key)
+			}
+		} else if got != cb {
+			t.Errorf("component {%s} avoids the failed edge but lost or changed its carry", key)
+		}
+	}
+	if evicted != 1 || len(c.warmRET) != 2 {
+		t.Fatalf("evicted %d components, %d left; want 1 evicted, 2 left", evicted, len(c.warmRET))
+	}
+	if err := c.LinkUp(down, c.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.warmRET) != 0 {
+		t.Errorf("LinkUp left %d carried components, want none", len(c.warmRET))
 	}
 }
 

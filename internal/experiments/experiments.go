@@ -38,11 +38,6 @@ type Scale struct {
 
 	Seeds []int64 // replications; results are averaged
 
-	// Warm enables LP warm-starting inside the repeated-solve loops
-	// (Fig. 4's RET binary search). Warm and cold runs produce
-	// byte-identical schedules, so the figures are unaffected.
-	Warm bool
-
 	// Monolithic disables structural instance decomposition, forcing every
 	// solve through the single coupled model (the A/B baseline for the
 	// decomposition speedup).
@@ -62,7 +57,6 @@ func PaperScale() Scale {
 		Nodes: 100, LinkPairs: 200, Jobs: 40, Slices: 8, K: 4,
 		SliceSeconds: 10, LinkGbps: 20,
 		Seeds:  []int64{1, 2, 3},
-		Warm:   true,
 		Solver: lp.Options{Pricing: lp.PartialDantzig},
 	}
 }
@@ -73,7 +67,6 @@ func QuickScale() Scale {
 		Nodes: 30, LinkPairs: 60, Jobs: 12, Slices: 6, K: 4,
 		SliceSeconds: 10, LinkGbps: 20,
 		Seeds:  []int64{1},
-		Warm:   true,
 		Solver: lp.Options{Pricing: lp.PartialDantzig},
 	}
 }
@@ -163,7 +156,7 @@ func throughputSweep(sc Scale, waves []int, build func(w int, seed int64) (*netg
 				return sample{}, err
 			}
 			res, err := schedule.MaxThroughput(inst, schedule.Config{
-				Alpha: 0.1, AlphaGrowth: 0.1, Solver: sc.Solver, WarmStart: sc.Warm,
+				Alpha: 0.1, AlphaGrowth: 0.1, Solver: sc.Solver,
 				Monolithic: sc.Monolithic, Parallelism: sc.Parallelism,
 			})
 			if err != nil {
@@ -242,7 +235,7 @@ func Fig3(sc Scale, jobCounts []int) ([]TimeRow, error) {
 				return sample{}, err
 			}
 			res, err := schedule.MaxThroughput(inst, schedule.Config{
-				Alpha: 0.1, AlphaGrowth: 0.1, Solver: sc.Solver, WarmStart: sc.Warm,
+				Alpha: 0.1, AlphaGrowth: 0.1, Solver: sc.Solver,
 				Monolithic: sc.Monolithic, Parallelism: sc.Parallelism,
 			})
 			if err != nil {
@@ -343,8 +336,7 @@ func Fig4(sc Scale, jobCounts []int, cfg RETConfig) ([]RETRow, error) {
 			solver := sc.Solver
 			solver.Pricing = lp.Auto
 			res, err := schedule.SolveRET(inst, schedule.RETConfig{
-				BMax: cfg.BMax, Solver: solver, WarmStart: sc.Warm,
-				Certificates: sc.Warm, Speculate: true,
+				BMax: cfg.BMax, Solver: solver,
 				Monolithic: sc.Monolithic, Parallelism: sc.Parallelism,
 			})
 			if err != nil {

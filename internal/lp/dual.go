@@ -242,9 +242,23 @@ func (inc *Incremental) Certificate() *Certificate {
 }
 
 // Solve optimizes the wrapped model, reusing the previous basis via the
-// dual simplex when only bounds changed since the last call.
+// dual simplex when only bounds changed since the last call. Each call
+// counts as one solve in the lp solve counters.
 func (inc *Incremental) Solve() (*Solution, error) {
+	start := time.Now()
+	prev, before := inc.s, inc.Iters()
 	sol, err := inc.solve()
+	// Solution.Iters accumulates along the chain; count only this call's
+	// pivots: those on the resumed state, plus a fresh state's when the
+	// call fell back to a full solve.
+	pivots := 0
+	if prev != nil {
+		pivots = prev.iters - before
+	}
+	if inc.s != prev && inc.s != nil {
+		pivots += inc.s.iters
+	}
+	observeSolve(start, sol, pivots)
 	if sol != nil {
 		inc.lastStatus = sol.Status
 		inc.lastSol = sol

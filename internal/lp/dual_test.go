@@ -52,6 +52,69 @@ func TestIncrementalBasic(t *testing.T) {
 	}
 }
 
+// TestIncrementalSolveCounted: a chained re-solve reports into the same
+// counters as Model.SolveWith — one solve under its status, its own
+// pivots (not the chain's running total in Solution.Iters), one
+// lp_solve_seconds observation, and lp_infeasible_total when infeasible.
+func TestIncrementalSolveCounted(t *testing.T) {
+	m := NewModel("inc-counted", Maximize)
+	x := m.AddVar("x", 0, Inf, 3)
+	y := m.AddVar("y", 0, Inf, 5)
+	r1 := m.AddRow("r1", LE, 4)
+	m.AddTerm(r1, x, 1)
+	r2 := m.AddRow("r2", LE, 12)
+	m.AddTerm(r2, y, 2)
+	r3 := m.AddRow("r3", LE, 18)
+	m.AddTerm(r3, x, 3)
+	m.AddTerm(r3, y, 2)
+
+	inc := NewIncremental(m, Options{})
+	if _, err := inc.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		name   string
+		bound  func()
+		status Status
+	}{
+		{"tighten", func() { m.SetBounds(y, 0, 3) }, Optimal},
+		{"infeasible", func() { m.SetBounds(x, 5, Inf) }, Infeasible},
+	} {
+		step.bound()
+		chained := inc.s
+		iters := inc.Iters()
+		pivots, solves := telPivots.Value(), telSolvesByStatus[step.status].Value()
+		infeasible, observed := telInfeasible.Value(), telSolveSeconds.Count()
+		sol, err := inc.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != step.status || inc.s != chained {
+			t.Fatalf("%s: status %v, chained=%v; want a chained %v re-solve", step.name, sol.Status, inc.s == chained, step.status)
+		}
+		own := inc.Iters() - iters
+		if own == 0 || own == sol.Iters {
+			t.Fatalf("%s: re-solve did %d pivots of the chain's %d; the case cannot tell them apart", step.name, own, sol.Iters)
+		}
+		if got := telPivots.Value() - pivots; got != int64(own) {
+			t.Errorf("%s: lp_pivots_total += %d, want the re-solve's own %d", step.name, got, own)
+		}
+		if got := telSolvesByStatus[step.status].Value() - solves; got != 1 {
+			t.Errorf("%s: lp_solves_total{status=%v} += %d, want 1", step.name, step.status, got)
+		}
+		wantInfeasible := int64(0)
+		if step.status == Infeasible {
+			wantInfeasible = 1
+		}
+		if got := telInfeasible.Value() - infeasible; got != wantInfeasible {
+			t.Errorf("%s: lp_infeasible_total += %d, want %d", step.name, got, wantInfeasible)
+		}
+		if got := telSolveSeconds.Count() - observed; got != 1 {
+			t.Errorf("%s: lp_solve_seconds observed %d times, want 1", step.name, got)
+		}
+	}
+}
+
 func TestIncrementalInfeasibleBounds(t *testing.T) {
 	// Force infeasibility via bounds: x + y = 5 with both ≤ 1.
 	m := NewModel("incinf", Minimize)

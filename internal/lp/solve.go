@@ -66,16 +66,11 @@ func (m *Model) SolveWith(opt Options) (*Solution, error) {
 	start := time.Now()
 	sp := opt.Tracer.Start("lp.solve")
 	sol, err := m.solveValidated(opt)
-	telSolveSeconds.ObserveSince(start)
+	pivots := 0
 	if sol != nil {
-		telPivots.Add(int64(sol.Iters))
-		if c, ok := telSolvesByStatus[sol.Status]; ok {
-			c.Inc()
-		}
-		if sol.Status == Infeasible {
-			telInfeasible.Inc()
-		}
+		pivots = sol.Iters
 	}
+	observeSolve(start, sol, pivots)
 	if opt.Tracer != nil {
 		attrs := []telemetry.Attr{
 			telemetry.KV("model", m.name),

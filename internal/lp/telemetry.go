@@ -1,6 +1,10 @@
 package lp
 
-import "wavesched/internal/telemetry"
+import (
+	"time"
+
+	"wavesched/internal/telemetry"
+)
 
 // Package-level instruments on the default telemetry registry. Counter
 // and histogram updates are a handful of atomic operations per *solve*
@@ -8,7 +12,7 @@ import "wavesched/internal/telemetry"
 // is gated on Options.Tracer being non-nil.
 var (
 	telSolveSeconds = telemetry.Default().Histogram("lp_solve_seconds",
-		"Wall time of lp.Model.SolveWith in seconds.", nil)
+		"Wall time of one LP solve (Model.SolveWith or a chained Incremental.Solve) in seconds.", nil)
 	telPivots = telemetry.Default().Counter("lp_pivots_total",
 		"Simplex pivots across both phases, summed over all solves.")
 	telPhase1Pivots = telemetry.Default().Counter("lp_phase1_pivots_total",
@@ -41,3 +45,20 @@ var (
 		return m
 	}()
 )
+
+// observeSolve records one finished solve — a Model.SolveWith call or a
+// chained Incremental re-solve — in the shared solve counters. pivots is
+// the simplex work the solve itself did.
+func observeSolve(start time.Time, sol *Solution, pivots int) {
+	telSolveSeconds.ObserveSince(start)
+	if sol == nil {
+		return
+	}
+	telPivots.Add(int64(pivots))
+	if c, ok := telSolvesByStatus[sol.Status]; ok {
+		c.Inc()
+	}
+	if sol.Status == Infeasible {
+		telInfeasible.Inc()
+	}
+}

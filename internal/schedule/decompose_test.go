@@ -383,25 +383,18 @@ func TestDecomposedParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDecomposedRETWarmByteIdentical: warm-started decomposed RET matches
-// the cold decomposed run bit for bit and exports per-component probe
-// bases keyed like the decomposition.
+// TestDecomposedRETWarmByteIdentical: decomposed RET matches the plain
+// oracle search bit for bit, exports per-component probe bases keyed like
+// the decomposition, and stays identical when that carry seeds the next
+// solve.
 func TestDecomposedRETWarmByteIdentical(t *testing.T) {
 	inst := clusteredRETInstance(t, 3, 52)
-	cold, err := SolveRET(inst, RETConfig{Solver: solverOpts()})
+	plain := solvePlainRET(t, inst, RETConfig{Solver: solverOpts()})
+	warm, err := SolveRET(inst, RETConfig{Solver: solverOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.BHat != warm.BHat || cold.B != warm.B || cold.Rounds != warm.Rounds {
-		t.Fatalf("search outcome differs: cold (b̂=%v b=%v) warm (b̂=%v b=%v)", cold.BHat, cold.B, warm.BHat, warm.B)
-	}
-	if assignmentBytes(cold.LPDAR) != assignmentBytes(warm.LPDAR) {
-		t.Fatal("warm decomposed RET schedule differs from cold")
-	}
+	requireSameAsPlain(t, "decomposed", plain, warm)
 	if len(warm.ProbeBases) == 0 {
 		t.Fatal("warm decomposed RET exported no probe bases")
 	}
@@ -416,18 +409,13 @@ func TestDecomposedRETWarmByteIdentical(t *testing.T) {
 		}
 	}
 
-	// Chain the bases into a second solve, as the controller does.
-	seed := make(map[string]*lp.Basis, len(warm.ProbeBases))
-	for key, cb := range warm.ProbeBases {
-		seed[key] = cb.Basis
-	}
-	chained, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmStart: true, WarmBases: seed})
+	// Carry the bases and certificates into a second solve, as the
+	// controller does.
+	chained, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmComponents: warm.ProbeBases})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if assignmentBytes(cold.LPDAR) != assignmentBytes(chained.LPDAR) || chained.BHat != cold.BHat {
-		t.Fatal("chained warm decomposed RET differs from cold")
-	}
+	requireSameAsPlain(t, "decomposed with carry", plain, chained)
 }
 
 // TestMonolithicRETExportsFullKeyBasis: a single-component solve fills
@@ -435,20 +423,17 @@ func TestDecomposedRETWarmByteIdentical(t *testing.T) {
 // uniformly across both paths.
 func TestMonolithicRETExportsFullKeyBasis(t *testing.T) {
 	inst := retWarmInstance(t)
-	res, err := SolveRET(inst, RETConfig{Solver: solverOpts(), WarmStart: true, Monolithic: true})
+	res, err := SolveRET(inst, RETConfig{Solver: solverOpts(), Monolithic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Components != 1 {
-		t.Fatalf("got %d components", res.Components)
-	}
-	if res.ProbeBasis == nil || len(res.ProbeBases) != 1 {
-		t.Fatalf("monolithic warm solve exported ProbeBasis=%v, %d ProbeBases entries", res.ProbeBasis != nil, len(res.ProbeBases))
+	if res.Components != 1 || len(res.ProbeBases) != 1 {
+		t.Fatalf("got %d components, %d ProbeBases entries", res.Components, len(res.ProbeBases))
 	}
 	fc := fullInstanceComponent(inst)
 	key, edges := fc.Key, fc.Edges
 	cb := res.ProbeBases[key]
-	if cb == nil || cb.Basis != res.ProbeBasis || len(cb.Edges) != len(edges) {
+	if cb == nil || cb.Basis == nil || len(cb.Edges) != len(edges) || cb.PathsKey != fc.PathsKey {
 		t.Fatalf("ProbeBases entry under full key is wrong: %+v", cb)
 	}
 }

@@ -275,7 +275,7 @@ func MaxThroughputIncremental(inst *Instance, cfg Config, cache *PlanCache) (*Re
 			return nil
 		}
 		start := time.Now()
-		frac, status, _, iters, err := solveStage2Frac(comps[i].Inst, zstar, alpha, cfg)
+		frac, status, iters, err := solveStage2Frac(comps[i].Inst, zstar, alpha, cfg)
 		if err != nil {
 			return err
 		}

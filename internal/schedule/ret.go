@@ -2,10 +2,8 @@ package schedule
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"wavesched/internal/job"
@@ -50,44 +48,11 @@ type RETConfig struct {
 	Adjust *AdjustOptions
 	// MaxRounds bounds the δ-extension loop; default 200.
 	MaxRounds int
-	// WarmStart speeds up the binary search on b by chaining one probe
-	// model across the feasibility probes: the model is built at BMax
-	// windows, each candidate b only flips variable bounds (out-of-window
-	// flow pinned to zero), and the lp layer re-solves incrementally from
-	// the previous probe's basis — including after infeasible probes,
-	// whose phase-1 basis chains into the next dual re-solve. Probes are
-	// feasibility-only, so the extraction solves — and the returned
-	// schedule — are byte-identical to a cold run.
-	WarmStart bool
-	// Certificates enables probe pruning: a feasibility probe is first
-	// answered from the window memo (two b values that quantize to the
-	// same per-job windows pose the same LP), then from a stored witness
-	// point or Farkas ray of an earlier solve, and only solved when no
-	// certificate applies. Certificate verdicts are self-verifying and
-	// exact, so b̂ and the returned schedule are byte-identical to a
-	// full-solve run.
-	Certificates bool
-	// Speculate solves the two possible next bisection midpoints on spare
-	// worker-pool slots (Parallelism minus concurrent component searches)
-	// while the current midpoint resolves, and consumes a finished
-	// speculative verdict instead of solving. Verdicts come from ordinary
-	// cold solves, so the b̂ trajectory is unchanged; with no spare
-	// workers this is a no-op.
-	Speculate bool
-	// WarmBasis optionally seeds the first probe — typically
-	// RETResult.ProbeBasis from a previous solve of the same instance
-	// shape (e.g. the controller's previous epoch). A mismatched basis is
-	// harmless: the lp layer falls back to a cold solve.
-	WarmBasis *lp.Basis
-	// WarmBases optionally seeds per-component probes, keyed by
-	// Component.Key — typically RETResult.ProbeBases from a previous
-	// solve. A monolithic solve consults the full-instance key, so the
-	// map works uniformly for both paths.
-	WarmBases map[string]*lp.Basis
-	// WarmComponents supersedes WarmBases with full per-component carry:
-	// basis plus feasibility/Farkas certificates, keyed by Component.Key —
-	// feed RETResult.ProbeBases back in. Stale entries self-decline
-	// (shape or RHS drift), so the map is always safe to pass.
+	// WarmComponents seeds the binary search with per-component
+	// cross-epoch carry — probe basis plus feasibility/Farkas certificates,
+	// keyed by Component.Key: feed RETResult.ProbeBases back in. Stale
+	// entries self-decline (shape or RHS drift), so the map is always safe
+	// to pass.
 	WarmComponents map[string]*ComponentBasis
 	// Monolithic forces one SUB-RET model over all jobs even when the
 	// instance decomposes into independent components at BMax windows —
@@ -110,11 +75,10 @@ type ProbeStage string
 
 // Probe stages.
 const (
-	StageB0          ProbeStage = "b0"          // the b = 0 probe (cold solve, prunable by a carried certificate)
-	StageBMax        ProbeStage = "bmax"        // the b = BMax ceiling probe (the extraction chain's seed solve)
-	StageBisect      ProbeStage = "bisect"      // a bisection midpoint, answered by a solve
-	StagePruned      ProbeStage = "pruned"      // answered by a certificate or the window memo — no solve
-	StageSpeculative ProbeStage = "speculative" // answered by a consumed speculative solve
+	StageB0     ProbeStage = "b0"     // the b = 0 probe (cold solve, prunable by a carried certificate)
+	StageBMax   ProbeStage = "bmax"   // the b = BMax ceiling probe (the extraction chain's seed solve)
+	StageBisect ProbeStage = "bisect" // a bisection midpoint, answered by a solve
+	StagePruned ProbeStage = "pruned" // answered by a certificate or the window memo — no solve
 )
 
 // Probe certificate kinds, recorded in ProbeStep.Cert for pruned probes.
@@ -177,22 +141,16 @@ type RETResult struct {
 	SolveTime  time.Duration
 
 	// ProbesSolved and ProbesPruned split the search trajectory by how
-	// each probe was answered: a simplex solve (stages b0/bmax/bisect/
-	// speculative) versus a certificate or window-memo check (stage
-	// pruned). Their sum is the probe count.
+	// each probe was answered: a simplex solve (stages b0/bmax/bisect)
+	// versus a certificate or window-memo check (stage pruned). Their sum
+	// is the probe count.
 	ProbesSolved int
 	ProbesPruned int
 
-	// ProbeBasis is the final warm-start basis of the probe model, set
-	// when RETConfig.WarmStart or Certificates was on and the solve was
-	// monolithic (or single-component). Feed it to RETConfig.WarmBasis of
-	// the next solve over the same instance shape.
-	ProbeBasis *lp.Basis
 	// ProbeBases holds the final probe basis and certificates of every
 	// component (the full instance, for a monolithic solve), keyed by
 	// Component.Key and tagged with the component's edge set so a caller
-	// can invalidate entries per topology event. Set when
-	// RETConfig.WarmStart or Certificates was on; feed it back via
+	// can invalidate entries per topology event. Feed it back via
 	// RETConfig.WarmComponents.
 	ProbeBases map[string]*ComponentBasis
 	// Components is the number of independent blocks the instance was
@@ -224,16 +182,34 @@ type RETResult struct {
 // [0, BMax] interval, so the per-component b̂ values lie on one dyadic
 // grid and the max equals the monolithic search's answer.
 //
+// Each feasibility probe of the search is answered as cheaply as an exact
+// answer allows: from the window memo (two b values that quantize to the
+// same per-job windows pose the same LP), then from a stored witness point
+// or Farkas ray, and only then by a re-solve on one chained probe model
+// built at BMax windows, where a candidate b only flips variable bounds.
+// Every verdict is exact and the schedule comes from a separate extraction
+// chain, so b̂ and the returned schedules are bit-identical to a search
+// that solves every probe cold.
+//
 // The instance's grid must extend far enough to cover (1+BMax)-extended
 // end times; BuildRETInstance constructs such instances.
 func SolveRET(inst *Instance, cfg RETConfig) (*RETResult, error) {
+	return solveRET(inst, cfg, retSearch)
+}
+
+// retSearchFunc runs one component's binary search for b̂. retSearch is
+// the only production search; the seam lets tests run the same Algorithm 2
+// around a plain oracle search.
+type retSearchFunc func(inst *Instance, cfg RETConfig, env retSearchEnv, comp string) (bhat float64, itersTotal int, steps []ProbeStep, err error)
+
+func solveRET(inst *Instance, cfg RETConfig, search retSearchFunc) (*RETResult, error) {
 	cfg = cfg.withDefaults()
 	comps := decomposeFor(inst, cfg.Monolithic, retExtendedLast(inst, cfg.BMax, cfg))
 	if len(comps) > 1 {
-		return solveRETDecomposed(inst, comps, cfg)
+		return solveRETDecomposed(inst, comps, cfg, search)
 	}
 	observeComponents(comps)
-	return solveRETMono(inst, cfg)
+	return solveRETMono(inst, cfg, search)
 }
 
 // fullInstanceComponent wraps the whole instance as one component, so a
@@ -247,35 +223,24 @@ func fullInstanceComponent(inst *Instance) *Component {
 	return buildComponent(inst, idx)
 }
 
-// resolveCarry picks the cross-epoch warm state for a component key:
-// WarmComponents (basis + certificates) wins over the legacy WarmBases,
-// which wins over the global WarmBasis (consulted only when useGlobal —
-// the monolithic path). A WarmComponents entry recorded under a different
-// path-set fingerprint is declined outright — its basis and certificates
-// describe a model over different columns (column generation discovered
-// different paths), so reusing it would be unsound.
-func resolveCarry(cfg RETConfig, key, pathsKey string, useGlobal bool) *ComponentBasis {
-	if cb := cfg.WarmComponents[key]; cb != nil {
-		if cb.PathsKey == "" || cb.PathsKey == pathsKey {
-			return cb
-		}
+// resolveCarry picks the cross-epoch warm state for a component key from
+// WarmComponents. An entry recorded under a different path-set
+// fingerprint is declined outright — its basis and certificates describe
+// a model over different columns (column generation discovered different
+// paths), so reusing it would be unsound.
+func resolveCarry(cfg RETConfig, key, pathsKey string) *ComponentBasis {
+	cb := cfg.WarmComponents[key]
+	if cb == nil || (cb.PathsKey != "" && cb.PathsKey != pathsKey) {
 		return nil
 	}
-	if b := cfg.WarmBases[key]; b != nil {
-		return &ComponentBasis{Basis: b}
-	}
-	if useGlobal && cfg.WarmBasis != nil {
-		return &ComponentBasis{Basis: cfg.WarmBasis}
-	}
-	return nil
+	return cb
 }
 
 // retSearchEnv bundles the solving machinery one component's binary
 // search runs against.
 type retSearchEnv struct {
-	chain  *retChain   // extraction chain; its seed solve answers the ceiling probe
-	prober *retProber  // probe chain + certificates; nil on the cold path
-	spec   *speculator // shared speculative solver; nil without spare workers
+	chain  *retChain  // extraction chain; its seed solve answers the ceiling probe
+	prober *retProber // probe chain, window memo and certificates
 }
 
 // retSearch runs the feasibility binary search for b̂ on one instance
@@ -290,15 +255,14 @@ func retSearch(inst *Instance, cfg RETConfig, env retSearchEnv, comp string) (bh
 	// probe answers one feasibility question of the binary search, through
 	// the cheapest sound mechanism available:
 	//
-	//  1. the b = BMax probe IS the extraction chain's seed solve (run in
-	//     every configuration, so pruning cannot perturb the chain). Its
-	//     optimum doubles as the feasible-point certificate: the quick-
-	//     finish objective concentrates flow early, so the ceiling optimum
-	//     typically satisfies every narrower window down to b̂ and prunes
-	//     the feasible half of the bisection outright;
+	//  1. the b = BMax probe IS the extraction chain's seed solve, so
+	//     pruning cannot perturb the chain. Its optimum doubles as the
+	//     feasible-point certificate: the quick-finish objective
+	//     concentrates flow early, so the ceiling optimum typically
+	//     satisfies every narrower window down to b̂ and prunes the
+	//     feasible half of the bisection outright;
 	//  2. the window memo and stored certificates (stage "pruned");
-	//  3. a finished speculative solve (stage "speculative");
-	//  4. the incremental probe chain, falling back to a cold per-b solve
+	//  3. the incremental probe chain, falling back to a cold per-b solve
 	//     when the chain cannot give an authoritative verdict. The b = 0
 	//     probe skips the chain — re-entering the ceiling basis with every
 	//     extension column pinned is slower than a cold solve.
@@ -311,16 +275,14 @@ func retSearch(inst *Instance, cfg RETConfig, env retSearchEnv, comp string) (bh
 			cert     string
 			err      error
 		)
-		resolved := false
 		if stage == StageBMax {
 			// A carried Farkas ray may refute the ceiling outright. Only the
 			// infeasible direction may bypass the chain solve: an infeasible
 			// ceiling aborts the search before any schedule exists, so the
 			// prune is identity-free, whereas a feasible ceiling must still
 			// come from the chain's own seed solve.
-			if cfg.Certificates && P != nil && P.checkInfeasible(inst, cfg.BMax) {
+			if P.checkInfeasible(inst, cfg.BMax) {
 				cert, stage = CertFarkas, StagePruned
-				resolved = true
 			} else {
 				var ok bool
 				feasible, _, iters, ok, err = env.chain.solveAt(inst, cfg.BMax)
@@ -329,41 +291,21 @@ func retSearch(inst *Instance, cfg RETConfig, env retSearchEnv, comp string) (bh
 					feasible, _, it2, err = solveSubRET(inst, cfg.BMax, cfg, false)
 					iters += it2
 				}
-				resolved = true
-				if P != nil && err == nil {
+				if err == nil {
 					P.seedFrom(env.chain)
-					if cfg.Certificates {
-						P.note(inst, cfg.BMax, feasible)
-						P.adopt(env.chain.inc.Certificate())
-					}
+					P.note(inst, cfg.BMax, feasible)
+					P.adopt(env.chain.inc.Certificate())
 				}
 			}
-		}
-		if !resolved && cfg.Certificates && P != nil {
-			if f, via, ok := P.check(inst, b); ok {
-				feasible, cert, stage = f, via, StagePruned
-				resolved = true
-			}
-		}
-		if !resolved && env.spec != nil {
-			if sr := env.spec.take(comp, b); sr != nil {
-				feasible, iters = sr.feasible, sr.iters
-				stage = StageSpeculative
-				resolved = true
-				if cfg.Certificates && P != nil {
-					P.note(inst, b, feasible)
-				}
-			}
-		}
-		if !resolved {
-			if cfg.WarmStart && P != nil && stage != StageB0 {
-				var ok bool
-				feasible, iters, ok, err = P.solve(inst, b)
-				warm = ok && err == nil
+		} else if f, via, ok := P.check(inst, b); ok {
+			feasible, cert, stage = f, via, StagePruned
+		} else {
+			if stage != StageB0 {
+				feasible, iters, warm, err = P.solve(inst, b)
 			}
 			if !warm && err == nil {
 				feasible, _, iters, err = solveSubRET(inst, b, cfg, false)
-				if err == nil && cfg.Certificates && P != nil {
+				if err == nil {
 					P.note(inst, b, feasible)
 				}
 			}
@@ -425,16 +367,6 @@ func retSearch(inst *Instance, cfg RETConfig, env retSearchEnv, comp string) (bh
 	lo, hi := 0.0, cfg.BMax
 	for hi-lo > cfg.Eps {
 		mid := (lo + hi) / 2
-		if env.spec != nil {
-			// Speculate both possible next midpoints while mid resolves;
-			// only intervals the loop would actually visit are worth it.
-			if mid-lo > cfg.Eps {
-				env.spec.launch(inst, (lo+mid)/2, cfg, comp)
-			}
-			if hi-mid > cfg.Eps {
-				env.spec.launch(inst, (mid+hi)/2, cfg, comp)
-			}
-		}
 		feasible, iters, err := probe(mid, StageBisect)
 		itersTotal += iters
 		if err != nil {
@@ -464,7 +396,7 @@ func tallyProbes(res *RETResult, steps []ProbeStep) {
 }
 
 // solveRETMono is the single-model Algorithm 2 path.
-func solveRETMono(inst *Instance, cfg RETConfig) (*RETResult, error) {
+func solveRETMono(inst *Instance, cfg RETConfig, search retSearchFunc) (*RETResult, error) {
 	res := &RETResult{Components: 1}
 	retSpan := cfg.Solver.Tracer.Start("schedule.ret")
 	// Everything below — search events, probe solves, δ-round solves —
@@ -473,26 +405,21 @@ func solveRETMono(inst *Instance, cfg RETConfig) (*RETResult, error) {
 	tracer := cfg.Solver.Tracer
 
 	fc := fullInstanceComponent(inst)
-	fullKey, fullEdges := fc.Key, fc.Edges
+	fullKey := fc.Key
 
-	// The extraction chain runs in every configuration — its solve
-	// sequence (cold seed at b = BMax, then incremental re-solves at b̂
-	// and each δ-round) depends only on the instance and the bit-exact b̂,
-	// so warm, certificate-pruned, and cold runs extract byte-identical
-	// schedules by construction.
+	// The extraction chain's solve sequence (cold seed at b = BMax, then
+	// incremental re-solves at b̂ and each δ-round) depends only on the
+	// instance and the bit-exact b̂, so however the probes were answered
+	// the extracted schedules are byte-identical by construction.
 	E, err := newRETChain(inst, "sub-ret", cfg)
 	if err != nil {
 		retSpan.End(telemetry.KV("error", err.Error()))
 		return nil, err
 	}
-	var P *retProber
-	if cfg.WarmStart || cfg.Certificates {
-		P = newRETProber(inst, cfg, resolveCarry(cfg, fullKey, fc.PathsKey, true))
-	}
-	spec := newSpeculator(cfg, 1)
+	P := newRETProber(inst, cfg, resolveCarry(cfg, fullKey, fc.PathsKey))
 
 	searchStart := time.Now()
-	bhat, iters, steps, err := retSearch(inst, cfg, retSearchEnv{chain: E, prober: P, spec: spec}, "")
+	bhat, iters, steps, err := search(inst, cfg, retSearchEnv{chain: E, prober: P}, "")
 	res.LPIters += iters
 	res.Probes = steps
 	tallyProbes(res, steps)
@@ -501,11 +428,7 @@ func solveRETMono(inst *Instance, cfg RETConfig) (*RETResult, error) {
 		// infeasible-at-BMax epoch lets the next epoch refute its ceiling
 		// by certificate instead of a cold solve. Export it alongside the
 		// error; callers that carry warm state keep it, others discard res.
-		if P != nil {
-			res.ProbeBases = map[string]*ComponentBasis{
-				fullKey: {Basis: P.exportBasis(), Edges: fullEdges, PathsKey: fc.PathsKey, Feas: P.feas, Infeas: P.infeas},
-			}
-		}
+		res.ProbeBases = map[string]*ComponentBasis{fullKey: P.carry(fc)}
 		retSpan.End(telemetry.KV("error", err.Error()))
 		return res, err
 	}
@@ -558,13 +481,7 @@ func solveRETMono(inst *Instance, cfg RETConfig) (*RETResult, error) {
 			res.LPDAR = lpdar
 			res.Rounds = round
 			res.SolveTime = time.Since(solveStart)
-			if P != nil {
-				basis := P.exportBasis()
-				res.ProbeBasis = basis
-				res.ProbeBases = map[string]*ComponentBasis{
-					fullKey: {Basis: basis, Edges: fullEdges, PathsKey: fc.PathsKey, Feas: P.feas, Infeas: P.infeas},
-				}
-			}
+			res.ProbeBases = map[string]*ComponentBasis{fullKey: P.carry(fc)}
 			telRETDeltaRounds.Add(int64(round))
 			telRETFinalB.Set(b)
 			retSpan.End(
@@ -594,7 +511,7 @@ func solveRETMono(inst *Instance, cfg RETConfig) (*RETResult, error) {
 // Should a δ-round push b past BMax — beyond the windows the decomposition
 // was computed at, where components may re-couple — the round falls back
 // to the full-instance model.
-func solveRETDecomposed(inst *Instance, comps []*Component, cfg RETConfig) (*RETResult, error) {
+func solveRETDecomposed(inst *Instance, comps []*Component, cfg RETConfig, search retSearchFunc) (*RETResult, error) {
 	res := &RETResult{Components: len(comps)}
 	retSpan := cfg.Solver.Tracer.Start("schedule.ret")
 	// Per-component work is causally inside the RET span; each search
@@ -614,7 +531,16 @@ func solveRETDecomposed(inst *Instance, comps []*Component, cfg RETConfig) (*RET
 		probes []ProbeStep
 	}
 	states := make([]compState, len(comps))
-	spec := newSpeculator(cfg, len(comps))
+	// carry exports every component's probe state for the next epoch.
+	carry := func() map[string]*ComponentBasis {
+		out := make(map[string]*ComponentBasis, len(comps))
+		for i, c := range comps {
+			if states[i].prober != nil {
+				out[c.Key] = states[i].prober.carry(c)
+			}
+		}
+		return out
+	}
 
 	searchStart := time.Now()
 	err := runComponents(len(comps), cfg.Parallelism, func(i int) error {
@@ -629,10 +555,8 @@ func solveRETDecomposed(inst *Instance, comps []*Component, cfg RETConfig) (*RET
 			return fmt.Errorf("component {%s}: %w", comps[i].Key, err)
 		}
 		st.chain = E
-		if cfg.WarmStart || cfg.Certificates {
-			st.prober = newRETProber(comps[i].Inst, st.cfg, resolveCarry(cfg, comps[i].Key, comps[i].PathsKey, false))
-		}
-		bhat, iters, steps, err := retSearch(comps[i].Inst, st.cfg, retSearchEnv{chain: E, prober: st.prober, spec: spec}, comps[i].Key)
+		st.prober = newRETProber(comps[i].Inst, st.cfg, resolveCarry(cfg, comps[i].Key, comps[i].PathsKey))
+		bhat, iters, steps, err := search(comps[i].Inst, st.cfg, retSearchEnv{chain: E, prober: st.prober}, comps[i].Key)
 		st.bhat, st.iters, st.probes = bhat, iters, steps
 		st.dur = time.Since(start)
 		attrs := []telemetry.Attr{
@@ -659,21 +583,7 @@ func solveRETDecomposed(inst *Instance, comps []*Component, cfg RETConfig) (*RET
 		// before failing (see the monolithic path): a Farkas ray from an
 		// overloaded component prunes the same component's ceiling probe
 		// next epoch.
-		if cfg.WarmStart || cfg.Certificates {
-			res.ProbeBases = make(map[string]*ComponentBasis, len(comps))
-			for i, c := range comps {
-				if states[i].prober == nil {
-					continue
-				}
-				res.ProbeBases[c.Key] = &ComponentBasis{
-					Basis:    states[i].prober.exportBasis(),
-					Edges:    c.Edges,
-					PathsKey: c.PathsKey,
-					Feas:     states[i].prober.feas,
-					Infeas:   states[i].prober.infeas,
-				}
-			}
-		}
+		res.ProbeBases = carry()
 		retSpan.End(telemetry.KV("error", err.Error()))
 		return res, err
 	}
@@ -753,21 +663,7 @@ func solveRETDecomposed(inst *Instance, comps []*Component, cfg RETConfig) (*RET
 			res.LPDAR = lpdar
 			res.Rounds = round
 			res.SolveTime = time.Since(solveStart)
-			if cfg.WarmStart || cfg.Certificates {
-				res.ProbeBases = make(map[string]*ComponentBasis, len(comps))
-				for i, c := range comps {
-					if states[i].prober == nil {
-						continue
-					}
-					res.ProbeBases[c.Key] = &ComponentBasis{
-						Basis:    states[i].prober.exportBasis(),
-						Edges:    c.Edges,
-						PathsKey: c.PathsKey,
-						Feas:     states[i].prober.feas,
-						Infeas:   states[i].prober.infeas,
-					}
-				}
-			}
+			res.ProbeBases = carry()
 			serial = 0
 			for i := range states {
 				serial += states[i].dur // search + every δ-round solve
@@ -1041,12 +937,12 @@ func (p *retProber) seedFrom(E *retChain) {
 	}
 }
 
-// adopt stores a certificate from the extraction chain's ceiling solve.
-// Both directions replace any cross-epoch carry: the fresh certificate
-// was computed on this epoch's instance, and a ceiling verdict is the
-// strongest the search produces — the ceiling optimum is the point most
-// likely to satisfy every narrower window, and a b = BMax Farkas ray
-// refutes every smaller b (pinning columns only widens its gap).
+// adopt stores the certificate of a solved probe — the extraction
+// chain's ceiling solve or a probe-chain re-solve. Both directions replace
+// any cross-epoch carry: the fresh certificate was computed on this
+// epoch's instance. Within the bisection the latest feasible witness is
+// the smallest proven b and the latest Farkas ray the largest refuted b,
+// the ones most likely to answer the next midpoint.
 func (p *retProber) adopt(c *lp.Certificate) {
 	if c == nil {
 		return
@@ -1137,15 +1033,9 @@ func (p *retProber) solve(inst *Instance, b float64) (feasible bool, iters int, 
 	if err != nil {
 		return false, iters, false, fmt.Errorf("schedule: SUB-RET probe(b=%g): %w", b, err)
 	}
-	if ok && p.cfg.Certificates {
+	if ok {
 		p.memo[lastKey(ch.curLast)] = feasible
-		if c := ch.inc.Certificate(); c != nil {
-			if c.Feasible() {
-				p.feas = c
-			} else {
-				p.infeas = c
-			}
-		}
+		p.adopt(ch.inc.Certificate())
 	}
 	return feasible, iters, ok, nil
 }
@@ -1162,95 +1052,9 @@ func (p *retProber) exportBasis() *lp.Basis {
 	return p.seed
 }
 
-// speculator runs bounded speculative cold probes on spare worker-pool
-// slots. Launches never block (no token → drop) and takes never wait
-// (still running → caller solves normally), so speculation can only
-// overlap work, never serialize it.
-type speculator struct {
-	sem     chan struct{}
-	cfg     RETConfig
-	mu      sync.Mutex
-	pending map[string]*specResult
-}
-
-type specResult struct {
-	done     chan struct{}
-	feasible bool
-	iters    int
-	err      error
-}
-
-// newSpeculator sizes the speculative pool: Parallelism (or NumCPU) minus
-// the concurrent component searches. nil — speculation off — when
-// nothing is spare.
-func newSpeculator(cfg RETConfig, comps int) *speculator {
-	if !cfg.Speculate {
-		return nil
-	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	spare := workers - comps
-	if spare <= 0 {
-		return nil
-	}
-	scfg := cfg
-	scfg.Solver.Tracer = nil // wasted speculation must not pollute traces
-	scfg.OnProbe = nil
-	return &speculator{sem: make(chan struct{}, spare), cfg: scfg, pending: make(map[string]*specResult)}
-}
-
-func specKey(comp string, b float64) string {
-	return comp + "|" + strconv.FormatFloat(b, 'x', -1, 64)
-}
-
-// launch starts a speculative cold probe at b if a pool slot is free and
-// none is already pending for the same (component, b).
-func (sp *speculator) launch(inst *Instance, b float64, cfg RETConfig, comp string) {
-	key := specKey(comp, b)
-	sp.mu.Lock()
-	if _, dup := sp.pending[key]; dup {
-		sp.mu.Unlock()
-		return
-	}
-	select {
-	case sp.sem <- struct{}{}:
-	default:
-		sp.mu.Unlock()
-		return // no spare slot: skip, never block
-	}
-	sr := &specResult{done: make(chan struct{})}
-	sp.pending[key] = sr
-	sp.mu.Unlock()
-	go func() {
-		feasible, _, iters, err := solveSubRET(inst, b, sp.cfg, false)
-		sr.feasible, sr.iters, sr.err = feasible, iters, err
-		close(sr.done)
-		<-sp.sem
-	}()
-}
-
-// take returns the finished speculative verdict for (comp, b), or nil if
-// none exists, it is still running, or it errored — the caller then
-// probes normally. Consumed and superseded entries are removed.
-func (sp *speculator) take(comp string, b float64) *specResult {
-	key := specKey(comp, b)
-	sp.mu.Lock()
-	sr := sp.pending[key]
-	if sr != nil {
-		select {
-		case <-sr.done:
-			delete(sp.pending, key)
-		default:
-			sr = nil // still running: don't wait for it
-		}
-	}
-	sp.mu.Unlock()
-	if sr != nil && sr.err != nil {
-		return nil
-	}
-	return sr
+// carry snapshots the prober's cross-epoch state for component c.
+func (p *retProber) carry(c *Component) *ComponentBasis {
+	return &ComponentBasis{Basis: p.exportBasis(), Edges: c.Edges, PathsKey: c.PathsKey, Feas: p.feas, Infeas: p.infeas}
 }
 
 // BuildRETInstance constructs an instance whose uniform grid (slices of

@@ -28,13 +28,6 @@ type Config struct {
 	// default, WeightBySize). See WeightFunc for the alternatives the
 	// paper discusses.
 	Weight WeightFunc
-	// WarmStart accelerates the AlphaGrowth retry ladder: when the LP is
-	// infeasible at Alpha, the retries probe successive α values on one
-	// reusable model (only the fairness-floor bounds change), each solve
-	// warm-started from the previous basis. The probes are status-only —
-	// the extraction solve at the final α is built and solved exactly as
-	// the cold path would, so the returned schedule is byte-identical.
-	WarmStart bool
 	// Monolithic forces one LP over all jobs even when the instance
 	// decomposes into independent components (see Decompose) — the A/B
 	// switch for comparing against the decomposed parallel path, which
@@ -170,9 +163,8 @@ func MaxThroughputWithZ(inst *Instance, s1 *Stage1Result, cfg Config) (*Result, 
 // over the whole instance.
 func maxThroughputWithZMono(inst *Instance, s1 *Stage1Result, cfg Config) (*Result, error) {
 	alpha := cfg.Alpha
-	warmProbed := false
 	for {
-		res, status, basis, err := solveStage2(inst, s1.ZStar, alpha, cfg)
+		res, status, err := solveStage2(inst, s1.ZStar, alpha, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -193,15 +185,6 @@ func maxThroughputWithZMono(inst *Instance, s1 *Stage1Result, cfg Config) (*Resu
 			return res, nil
 		}
 		if status == lp.Infeasible && cfg.AlphaGrowth > 0 && alpha+cfg.AlphaGrowth <= cfg.MaxAlpha {
-			if cfg.WarmStart && !warmProbed {
-				// Fast-forward the ladder with warm status-only probes,
-				// then re-solve cold at the α they land on.
-				warmProbed = true
-				if jump := warmFeasibleAlpha(inst, s1.ZStar, alpha, basis, cfg); jump > alpha {
-					alpha = jump
-					continue
-				}
-			}
 			telStage2AlphaRetries.Inc()
 			if cfg.Solver.Tracer != nil {
 				cfg.Solver.Tracer.Event("schedule.stage2_alpha_retry",
@@ -213,60 +196,6 @@ func maxThroughputWithZMono(inst *Instance, s1 *Stage1Result, cfg Config) (*Resu
 		}
 		return nil, fmt.Errorf("schedule: stage 2: solver returned %v (alpha=%g)", status, alpha)
 	}
-}
-
-// warmFeasibleAlpha walks the Remark-1 α ladder with warm-started
-// feasibility probes on one reusable model and returns the α the outer
-// loop should jump to: the first α whose probe was feasible (the cold
-// re-solve there extracts the schedule), or the last probed α when every
-// probe failed or the solver hiccuped (the cold re-solve is then
-// authoritative). It returns the starting alpha unchanged when no probe
-// could run. The α accumulation mirrors the cold ladder exactly so the
-// reported Result.Alpha is bit-identical.
-func warmFeasibleAlpha(inst *Instance, zstar, alpha float64, basis *lp.Basis, cfg Config) float64 {
-	m, zvars, _, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight)
-	if err != nil {
-		return alpha
-	}
-	opts := cfg.Solver
-	opts.Presolve = false // presolve would disable basis capture
-	opts.CaptureBasis = true
-	a := alpha
-	for cfg.AlphaGrowth > 0 && a+cfg.AlphaGrowth <= cfg.MaxAlpha {
-		a += cfg.AlphaGrowth
-		telStage2AlphaRetries.Inc()
-		floor := (1 - a) * zstar
-		if floor < 0 {
-			floor = 0
-		}
-		for _, zv := range zvars {
-			m.SetBounds(zv, floor, lp.Inf)
-		}
-		opts.WarmStart = basis
-		sol, err := m.SolveWith(opts)
-		if err != nil {
-			return a
-		}
-		if sol.Basis != nil {
-			basis = sol.Basis
-		}
-		if cfg.Solver.Tracer != nil {
-			cfg.Solver.Tracer.Event("schedule.stage2_alpha_retry",
-				telemetry.KV("alpha", a-cfg.AlphaGrowth),
-				telemetry.KV("next_alpha", a),
-				telemetry.KV("warm", true),
-				telemetry.KV("status", sol.Status.String()))
-		}
-		switch sol.Status {
-		case lp.Optimal:
-			return a
-		case lp.Infeasible:
-			continue
-		default:
-			return a
-		}
-	}
-	return a
 }
 
 // buildStage2Model assembles the stage-2 program (eqs. 7–10 without the
@@ -317,16 +246,12 @@ func buildStage2Model(inst *Instance, zstar, alpha float64, weight WeightFunc) (
 }
 
 // solveStage2 builds and solves the stage-2 LP (eqs. 7–10 without
-// integrality), then integerizes. The returned basis (captured only in
-// WarmStart mode) seeds the α-ladder probes after an infeasible outcome.
-func solveStage2(inst *Instance, zstar, alpha float64, cfg Config) (*Result, lp.Status, *lp.Basis, error) {
+// integrality), then integerizes.
+func solveStage2(inst *Instance, zstar, alpha float64, cfg Config) (*Result, lp.Status, error) {
 	start := time.Now()
-	frac, status, basis, iters, err := solveStage2Frac(inst, zstar, alpha, cfg)
-	if err != nil {
-		return nil, status, nil, err
-	}
-	if status != lp.Optimal {
-		return nil, status, basis, nil
+	frac, status, iters, err := solveStage2Frac(inst, zstar, alpha, cfg)
+	if err != nil || status != lp.Optimal {
+		return nil, status, err
 	}
 	stage2Time := time.Since(start)
 
@@ -345,29 +270,25 @@ func solveStage2(inst *Instance, zstar, alpha float64, cfg Config) (*Result, lp.
 		Stage2Time:   stage2Time,
 		TruncateTime: truncTime,
 		AdjustTime:   adjTime,
-	}, lp.Optimal, basis, nil
+	}, lp.Optimal, nil
 }
 
 // solveStage2Frac builds and solves the fractional stage-2 LP, returning
-// the extracted assignment on an Optimal outcome and the status/basis
+// the extracted assignment on an Optimal outcome and the status
 // otherwise.
-func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config) (*Assignment, lp.Status, *lp.Basis, int, error) {
+func solveStage2Frac(inst *Instance, zstar, alpha float64, cfg Config) (*Assignment, lp.Status, int, error) {
 	m, _, xvars, _, err := buildStage2Model(inst, zstar, alpha, cfg.Weight)
 	if err != nil {
-		return nil, lp.Infeasible, nil, 0, err
+		return nil, lp.Infeasible, 0, err
 	}
-	opts := cfg.Solver
-	if cfg.WarmStart {
-		opts.CaptureBasis = true // snapshot-only: the solve itself is unchanged
-	}
-	sol, err := m.SolveWith(opts)
+	sol, err := m.SolveWith(cfg.Solver)
 	if err != nil {
-		return nil, lp.Numerical, nil, 0, fmt.Errorf("schedule: stage 2: %w", err)
+		return nil, lp.Numerical, 0, fmt.Errorf("schedule: stage 2: %w", err)
 	}
 	if sol.Status != lp.Optimal {
-		return nil, sol.Status, sol.Basis, sol.Iters, nil
+		return nil, sol.Status, sol.Iters, nil
 	}
-	return extractAssignment(inst, xvars, sol), lp.Optimal, sol.Basis, sol.Iters, nil
+	return extractAssignment(inst, xvars, sol), lp.Optimal, sol.Iters, nil
 }
 
 // stage2Decomposed runs the Remark-1 α ladder per component, lifts the
@@ -408,7 +329,7 @@ func stage2Decomposed(inst *Instance, comps []*Component, s1 *Stage1Result, cfg 
 			return nil
 		}
 		start := time.Now()
-		frac, status, _, iters, err := solveStage2Frac(comps[i].Inst, s1.ZStar, alpha, cfg)
+		frac, status, iters, err := solveStage2Frac(comps[i].Inst, s1.ZStar, alpha, cfg)
 		if err != nil {
 			return err
 		}
@@ -476,10 +397,9 @@ func stage2Decomposed(inst *Instance, comps []*Component, s1 *Stage1Result, cfg 
 func stage2Ladder(inst *Instance, zstar float64, cfg Config) (float64, *Assignment, int, time.Duration, error) {
 	start := time.Now()
 	alpha := cfg.Alpha
-	warmProbed := false
 	iters := 0
 	for {
-		frac, status, basis, it, err := solveStage2Frac(inst, zstar, alpha, cfg)
+		frac, status, it, err := solveStage2Frac(inst, zstar, alpha, cfg)
 		iters += it
 		if err != nil {
 			return alpha, nil, iters, time.Since(start), err
@@ -488,13 +408,6 @@ func stage2Ladder(inst *Instance, zstar float64, cfg Config) (float64, *Assignme
 			return alpha, frac, iters, time.Since(start), nil
 		}
 		if status == lp.Infeasible && cfg.AlphaGrowth > 0 && alpha+cfg.AlphaGrowth <= cfg.MaxAlpha {
-			if cfg.WarmStart && !warmProbed {
-				warmProbed = true
-				if jump := warmFeasibleAlpha(inst, zstar, alpha, basis, cfg); jump > alpha {
-					alpha = jump
-					continue
-				}
-			}
 			telStage2AlphaRetries.Inc()
 			if cfg.Solver.Tracer != nil {
 				cfg.Solver.Tracer.Event("schedule.stage2_alpha_retry",
